@@ -41,8 +41,10 @@ from repro.analysis.scenarios import MEDIUM_SCALE
 from repro.core.config import FeatureConfig
 from repro.core.features import extract_host_features, extract_host_features_columns
 from repro.core.model import build_model, build_model_with_engine
+from repro.core.runtime_plans import ResidentHostGroups
 from repro.datasets.builders import _observation_from_record, build_full_dataset
 from repro.engine.columns import numpy_available
+from repro.engine.runtime import EngineRuntime
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_dataset.json"
 
@@ -114,7 +116,7 @@ def run_dataset_benchmark(universe):
         assert decoded == host.ports, \
             "columnar predictor tuples diverged from the object extraction"
     reference = build_model(oracle)
-    fused = build_model_with_engine(columns)
+    fused = _serial_model(columns)
     assert fused.denominators == reference.denominators, \
         "fused model off the columns diverged from the oracle"
     assert {k: v for k, v in fused.cooccurrence.items() if v} == \
@@ -175,31 +177,38 @@ def test_dataset_columnar_ingest_vs_object_path(run_once, universe):
 # -- model fold: stdlib per-row vs numpy kernels ------------------------------------
 
 
+def _serial_model(columns, column_backend="stdlib"):
+    """The model build a serial-runtime GPS run does: load the columns as
+    resident host groups, fold, release."""
+    with EngineRuntime() as runtime:
+        return build_model_with_engine(ResidentHostGroups(runtime, columns, 16),
+                                       column_backend)
+
+
 def run_model_fold_benchmark(universe):
     """Time the serial columnar model build, stdlib fold vs numpy kernels.
 
     Same encoded columns in, same model out; the only difference is the
-    fold: the stdlib backend streams the flattened feature relation row by
-    row through ``join_group_count``, the numpy backend folds the raw int64
-    buffers through ``fold_model_pairs_arrays`` (no table flatten, no
-    per-row loop).  Model equality is asserted before timing, never relaxed.
+    fold: the stdlib backend derives the shard's self-join rows and streams
+    them through ``count_join_chunk``, the numpy backend folds the raw int64
+    buffers through ``fold_model_pairs_arrays`` (no per-row loop).  Both
+    timings include loading the columns into the serial runtime.  Model
+    equality is asserted before timing, never relaxed.
     """
     config = FeatureConfig()
     asn_db = universe.topology.asn_db
     dataset = build_full_dataset(universe)
     columns = extract_host_features_columns(dataset.columns(), asn_db, config)
 
-    stdlib_model = build_model_with_engine(columns, column_backend="stdlib")
-    numpy_model = build_model_with_engine(columns, column_backend="numpy")
+    stdlib_model = _serial_model(columns, "stdlib")
+    numpy_model = _serial_model(columns, "numpy")
     assert numpy_model.denominators == stdlib_model.denominators, \
         "numpy model denominators diverged from the stdlib fold"
     assert numpy_model.cooccurrence == stdlib_model.cooccurrence, \
         "numpy model co-occurrence diverged from the stdlib fold"
 
-    per_row_seconds = _best_seconds(
-        lambda: build_model_with_engine(columns, column_backend="stdlib"))
-    bulk_seconds = _best_seconds(
-        lambda: build_model_with_engine(columns, column_backend="numpy"))
+    per_row_seconds = _best_seconds(lambda: _serial_model(columns, "stdlib"))
+    bulk_seconds = _best_seconds(lambda: _serial_model(columns, "numpy"))
     return {
         "hosts": len(columns),
         "predictor_refs": len(columns.value_ids),

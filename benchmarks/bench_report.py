@@ -81,8 +81,6 @@ class Metric:
 #: the two in sync when a floor moves.  Recorded-floor metrics carry their
 #: floor inside the JSON instead.
 METRICS: Tuple[Metric, ...] = (
-    Metric("BENCH_engine.json", "fused model build vs legacy (serial)",
-           "fused_serial_speedup", floor=3.0, smoke_floor=3.0),
     Metric("BENCH_engine.json", "numpy fold kernel vs per-row fold",
            "model_fold_kernel.speedup", floor_path="model_fold_kernel.floor"),
     Metric("BENCH_engine.json", "thread fold vs serial (model build)",
@@ -92,13 +90,13 @@ METRICS: Tuple[Metric, ...] = (
            "columnar_vs_object_speedup", floor=1.5, smoke_floor=1.2),
     Metric("BENCH_dataset.json", "numpy model build vs stdlib (serial)",
            "model_fold.speedup", floor_path="model_fold.floor"),
-    Metric("BENCH_priors.json", "fused priors plan vs legacy (serial)",
+    Metric("BENCH_priors.json", "serial-runtime priors plan vs dict reference",
            "priors_fused_serial_speedup", floor=2.0, smoke_floor=1.3),
     Metric("BENCH_priors.json", "batched scan pipeline end to end",
            "scan.end_to_end_speedup", floor=1.6, smoke_floor=1.05),
     Metric("BENCH_priors.json", "columnar scan layers vs per-object",
            "scan_columnar.pipeline_speedup", floor=1.3, smoke_floor=1.05),
-    Metric("BENCH_runtime.json", "warm resident pool vs cold spawn",
+    Metric("BENCH_runtime.json", "warm resident pool vs cold pool per build",
            "warm_vs_cold_speedup", floor=2.0, smoke_floor=2.0),
     Metric("BENCH_runtime.json", "surgical heal vs full rebuild",
            "recovery.rebuild_vs_heal", floor=1.0, smoke_floor=0.7),

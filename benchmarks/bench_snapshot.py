@@ -1,7 +1,7 @@
 """Warm restart from a snapshot vs full rebuild -- the persistence story.
 
 ``BENCH_runtime.json`` showed that keeping a pool and its shards warm beats
-re-spawning per call; this benchmark measures the other half of Section 6.5's
+re-spawning per build; this benchmark measures the other half of Section 6.5's
 "reuse an existing seed scan" deployment mode: a process that *restarts* and
 wants the Table 2 artifacts back.  Three comparisons:
 
@@ -98,13 +98,13 @@ def run_snapshot_benchmark(universe, dataset):
         batch = ObservationBatch.from_observations(observations)
         host_features = extract_host_features_columns(batch, asn_db,
                                                       feature_config)
-        model = build_model_with_engine(host_features, mode="fused")
-        priors = build_priors_plan_with_engine(host_features, model,
-                                               STEP_SIZE, dataset.port_domain,
-                                               mode="fused")
-        index = build_prediction_index_with_engine(
-            host_features, model, port_domain=dataset.port_domain,
-            mode="fused")
+        with EngineRuntime() as runtime:
+            resident = ResidentHostGroups(runtime, host_features, STEP_SIZE)
+            model = build_model_with_engine(resident)
+            priors = build_priors_plan_with_engine(resident, model, STEP_SIZE,
+                                                   dataset.port_domain)
+            index = build_prediction_index_with_engine(
+                resident, model, port_domain=dataset.port_domain)
         index.predict(probe, asn_db, feature_config)
         return batch, host_features, model, priors, index
 
@@ -149,8 +149,7 @@ def run_snapshot_benchmark(universe, dataset):
         try:
             snapshot = open_snapshot(snapshot_dir)
             resident = ResidentHostGroups.from_snapshot(runtime, snapshot)
-            mmap_model = build_model_with_engine(host_features,
-                                                 dataset=resident)
+            mmap_model = build_model_with_engine(resident)
             assert mmap_model == model, \
                 "model from mmap-resident shards diverged from the oracle"
             resident.release()
@@ -185,8 +184,7 @@ def run_snapshot_benchmark(universe, dataset):
             assert runtime.recovery_stats.shard_bytes_queued == \
                 ledger_before, \
                 "resize after a snapshot load re-shipped shard bytes"
-            resized_model = build_model_with_engine(host_features,
-                                                    dataset=resident)
+            resized_model = build_model_with_engine(resident)
             assert resized_model == model, \
                 "model after resize diverged from the oracle"
             resident.release()

@@ -3,11 +3,11 @@
 Table 2 decomposes a full GPS run into scanning, computation and data-transfer
 phases and reports bandwidth, computation time (single core), wall-clock time
 and data volume for each.  The reproduction measures what it can measure
-directly (model-building and prediction computation, single core versus the
-parallel engine) and models what depends on infrastructure that does not exist
-offline (line-rate scan time, upload/download time at a given link speed),
-using the same cost model as the paper: probes x packet size / line rate and
-bytes / transfer rate.
+directly (model-building and prediction computation, the single-core dict
+reference versus the engine runtime) and models what depends on
+infrastructure that does not exist offline (line-rate scan time,
+upload/download time at a given link speed), using the same cost model as
+the paper: probes x packet size / line rate and bytes / transfer rate.
 """
 
 from __future__ import annotations
@@ -19,17 +19,17 @@ from typing import List, Optional, Sequence
 
 from repro.core.config import FeatureConfig
 from repro.core.features import extract_host_features, extract_host_features_columns
-from repro.core.gps import GPS
 from repro.core.model import build_model, build_model_with_engine
 from repro.core.predictions import (
     PredictiveFeatureIndex,
     build_prediction_index_with_engine,
 )
 from repro.core.priors import build_priors_plan, build_priors_plan_with_engine
+from repro.core.runtime_plans import ResidentHostGroups
 from repro.datasets.builders import GroundTruthDataset
 from repro.datasets.io import observation_to_dict
 from repro.datasets.split import seed_scan_cost_probes, split_seed_test
-from repro.engine.parallel import ExecutorConfig
+from repro.engine.runtime import EngineRuntime
 from repro.internet.universe import Universe
 from repro.scanner.bandwidth import BITS_PER_PROBE, ScanCategory
 from repro.scanner.pipeline import ScanPipeline
@@ -45,8 +45,8 @@ class PhaseRow:
         probes: probes sent in this phase (0 for pure-compute phases).
         full_scans: the same bandwidth in "100 % scans".
         compute_seconds_single_core: measured single-core computation time.
-        compute_seconds_parallel: measured computation time on the parallel
-            engine (None when the phase has no parallel implementation).
+        compute_seconds_parallel: measured computation time on the engine
+            runtime (None when the phase has no engine implementation).
         wall_seconds: modelled wall-clock time of the phase (scan time at the
             configured line rate, transfer time at the configured link speed,
             or the parallel compute time for computation phases).
@@ -106,18 +106,20 @@ def run_performance_breakdown(
     seed_fraction: float = 0.01,
     step_size: int = 16,
     split_seed: int = 0,
-    executor: Optional[ExecutorConfig] = None,
+    executor: str = "thread",
+    num_workers: int = 4,
     seed_scan_rate_bps: float = 1.5e9,
     prediction_scan_rate_bps: float = 50e6,
     transfer_rate_bytes_per_s: float = 25e6,
 ) -> PerformanceBreakdown:
     """Measure/model the Table 2 breakdown for one GPS configuration.
 
-    Computation phases are run twice -- once single-core, once on the parallel
-    engine described by ``executor`` -- so the breakdown can report the
-    speedup the paper attributes to a highly parallel execution environment.
+    Computation phases are run twice -- once on the single-core dict
+    reference, once on an :class:`~repro.engine.runtime.EngineRuntime` with
+    the named ``executor`` and ``num_workers`` workers -- so the breakdown
+    can report the speedup the paper attributes to a highly parallel
+    execution environment.
     """
-    executor = executor or ExecutorConfig(backend="thread", workers=4)
     split = split_seed_test(dataset, seed_fraction, seed=split_seed)
     feature_config = FeatureConfig()
     asn_db = universe.topology.asn_db
@@ -127,7 +129,7 @@ def run_performance_breakdown(
         seed_scan_rate_bps=seed_scan_rate_bps,
         prediction_scan_rate_bps=prediction_scan_rate_bps,
         transfer_rate_bytes_per_s=transfer_rate_bytes_per_s,
-        parallel_workers=executor.workers,
+        parallel_workers=num_workers,
     )
 
     # -- Phase: seed scan (bandwidth-modelled; the data already exists) -------------
@@ -158,23 +160,32 @@ def run_performance_breakdown(
     # here lets the columnar rebuild share its status-id space.
     pipeline = ScanPipeline(universe)
 
-    # The engine measurement runs the fused path's own ingest: a dataset
+    # The engine measurement runs the engine path's own ingest: a dataset
     # split hands GPS the seed as a pre-sliced column batch (see
     # SeedTestSplit.seed_scan_result), so the timed region covers exactly
-    # what a fused run computes -- columns -> encoded host/service/predictor
-    # columns -> fused model and priors builds.  Outputs are identical to
-    # the single-core rows above.
+    # what an engine run computes -- columns -> encoded host/service/predictor
+    # columns -> shards resident in the runtime -> model and priors folds.
+    # Outputs are identical to the single-core rows above.
     seed_batch = split.seed_scan_result().batch
     if seed_batch is None:  # object-backed dataset: rebuild columns untimed
         seed_batch = ObservationBatch.from_observations(
             split.seed_observations, statuses=pipeline.status_encoder)
-    start = time.perf_counter()
-    host_columns = extract_host_features_columns(seed_batch, asn_db,
-                                                 feature_config)
-    model_parallel = build_model_with_engine(host_columns, executor)
-    build_priors_plan_with_engine(host_columns, model_parallel, step_size,
-                                  dataset.port_domain, executor=executor)
-    pfs_parallel = time.perf_counter() - start
+    with EngineRuntime(executor=executor, num_workers=num_workers) as runtime:
+        start = time.perf_counter()
+        host_columns = extract_host_features_columns(seed_batch, asn_db,
+                                                     feature_config)
+        resident = ResidentHostGroups(runtime, host_columns, step_size)
+        model_parallel = build_model_with_engine(resident)
+        build_priors_plan_with_engine(resident, model_parallel, step_size,
+                                      dataset.port_domain)
+        pfs_parallel = time.perf_counter() - start
+
+        # The PRS row's engine time is this index build plus its predict
+        # below, once the priors scan has run.
+        start = time.perf_counter()
+        index_parallel = build_prediction_index_with_engine(
+            resident, model_parallel, port_domain=dataset.port_domain)
+        prs_parallel = time.perf_counter() - start
 
     plan_bytes = sum(len(entry.describe()) + 1 for entry in priors_plan)
     breakdown.rows.append(PhaseRow(
@@ -221,12 +232,9 @@ def run_performance_breakdown(
     prs_single = time.perf_counter() - start
 
     start = time.perf_counter()
-    index_parallel = build_prediction_index_with_engine(
-        host_columns, model_parallel, port_domain=dataset.port_domain,
-        executor=executor)
     index_parallel.predict(priors_observations, asn_db, feature_config,
                            known_pairs=known)
-    prs_parallel = time.perf_counter() - start
+    prs_parallel += time.perf_counter() - start
 
     predictions_bytes = sum(24 for _ in predictions)  # ip + port + probability per line
     breakdown.rows.append(PhaseRow(

@@ -166,7 +166,7 @@ def _load_snapshot_seed(directory):
     """Rebuild a seed-scan result from a snapshot's encoded seed columns.
 
     The reloaded seed carries both the object rows and the columnar batch,
-    so every GPS ingest path (fused columnar, legacy object) consumes it
+    so both GPS ingest paths (engine columnar, reference object) consume it
     exactly like a freshly collected seed -- except no probes are charged
     (the Section 6.5 seed-reuse saving).
     """

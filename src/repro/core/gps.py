@@ -21,8 +21,12 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.core.config import GPSConfig
-from repro.core.features import extract_host_features, extract_host_features_columns
+from repro.core.config import FeatureConfig, GPSConfig
+from repro.core.features import (
+    HostFeatureColumns,
+    extract_host_features,
+    extract_host_features_columns,
+)
 from repro.core.model import CooccurrenceModel, build_model, build_model_with_engine
 from repro.core.predictions import (
     PREDICTION_BATCH_PREFIX_LEN,
@@ -43,6 +47,36 @@ from repro.scanner.records import ObservationBatch, ScanObservation
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 Pair = Tuple[int, int]
+
+
+def make_runtime(config: GPSConfig,
+                 telemetry: Optional[Telemetry] = None) -> EngineRuntime:
+    """The engine runtime a ``use_engine`` configuration describes."""
+    return EngineRuntime(
+        executor=config.executor or "serial",
+        num_workers=config.num_workers,
+        shard_count=config.shard_count,
+        max_task_retries=config.max_task_retries,
+        task_deadline_s=config.task_deadline_s,
+        execution_deadline_s=config.execution_deadline_s,
+        fault_plan=config.fault_plan,
+        telemetry=telemetry)
+
+
+def extract_seed_columns(seed: SeedScanResult, pipeline: ScanPipeline,
+                         feature_config: FeatureConfig) -> HostFeatureColumns:
+    """The engine's columnar feature extraction for one seed.
+
+    Uses the seed's own column batch when it has one (a dataset split
+    hands it over pre-sliced); otherwise rebuilds columns from the object
+    rows in the pipeline's status-id space instead of a fresh one.
+    """
+    batch = seed.batch
+    if batch is None:
+        batch = ObservationBatch.from_observations(
+            seed.observations, statuses=pipeline.status_encoder)
+    return extract_host_features_columns(
+        batch, pipeline.universe.topology.asn_db, feature_config)
 
 
 @dataclass(frozen=True)
@@ -113,14 +147,15 @@ class GPSRunResult:
 class GPS:
     """The GPS system bound to one scan pipeline and one configuration.
 
-    When the configuration names a persistent-runtime executor
-    (``GPSConfig.executor`` is ``"serial"``, ``"thread"`` or ``"pool"``), the
-    instance owns one :class:`~repro.engine.runtime.EngineRuntime` for its
-    whole life: the pool starts lazily on the first engine build, every run
-    reuses it, and :meth:`close` (or using the GPS as a context manager)
-    tears it down.  Within a run the seed's encoded columns load into the
-    workers once and the model, priors and prediction-index builds all fold
-    against the resident shards.
+    With ``use_engine`` the instance owns one
+    :class:`~repro.engine.runtime.EngineRuntime` (executor
+    ``GPSConfig.executor``, ``"serial"`` by default) for its whole life: the
+    pool starts lazily on the first engine build, every run reuses it, and
+    :meth:`close` (or using the GPS as a context manager) tears it down.
+    Within a run the seed's encoded columns load into the workers once and
+    the model, priors and prediction-index builds all fold against the
+    resident shards.  Without ``use_engine`` the single-core dict reference
+    runs -- the oracle.
 
     With telemetry enabled (``config.telemetry_enabled``, or an explicit
     ``telemetry`` instance -- e.g. one shared with the scan pipeline so scan
@@ -149,25 +184,15 @@ class GPS:
     # -- public API -----------------------------------------------------------------
 
     def runtime(self) -> Optional[EngineRuntime]:
-        """This instance's persistent engine runtime (``None`` for per-call
-        executors).  Created lazily from ``config.executor`` /
-        ``config.num_workers`` / ``config.shard_count``; recreated if a
-        previous one was closed or broken by a worker crash."""
-        config = self.config
-        if not isinstance(config.executor, str):
+        """This instance's persistent engine runtime (``None`` without
+        ``use_engine``).  Created lazily from the configuration; recreated
+        if a previous one was closed or broken by a worker crash."""
+        if not self.config.use_engine:
             return None
         if self._runtime is None or self._runtime.closed or self._runtime.broken:
             if self._runtime is not None:
                 self._runtime.close()
-            self._runtime = EngineRuntime(
-                executor=config.executor,
-                num_workers=config.num_workers,
-                shard_count=config.shard_count,
-                max_task_retries=config.max_task_retries,
-                task_deadline_s=config.task_deadline_s,
-                execution_deadline_s=config.execution_deadline_s,
-                fault_plan=config.fault_plan,
-                telemetry=self.telemetry)
+            self._runtime = make_runtime(self.config, self.telemetry)
         return self._runtime
 
     def close(self) -> None:
@@ -384,115 +409,59 @@ class GPS:
     # -- helpers ------------------------------------------------------------------------
 
     def _extract_features(self, seed: SeedScanResult):
-        """Extract the seed's host features on the configured ingest path.
+        """Extract the seed's host features on the configured path.
 
-        The fused engine paths (``use_engine`` with ``engine_mode="fused"``)
-        ingest **columnar**: the seed's observation columns (carried by the
-        seed when it came from a columnar dataset split, rebuilt from the
-        object rows otherwise) fold straight into encoded
-        :class:`~repro.core.features.HostFeatureColumns`, which every
-        downstream build -- per-call fused, runtime-resident -- consumes
-        without an object pre-pass.  The legacy mode and the non-engine
-        reference path keep the object extraction, which remains the
-        equivalence oracle.
+        The engine ingests **columnar**: the seed's observation columns
+        (carried by the seed when it came from a columnar dataset split,
+        rebuilt from the object rows otherwise) fold straight into encoded
+        :class:`~repro.core.features.HostFeatureColumns`, which the resident
+        dataset shards as-is.  The dict reference keeps the object
+        extraction.
         """
         config = self.config
-        if config.use_engine and config.engine_mode == "fused":
-            batch = seed.batch
-            if batch is None:
-                # Rebuild columns in the pipeline's status-id space instead
-                # of re-encoding into a fresh one per call.
-                batch = ObservationBatch.from_observations(
-                    seed.observations,
-                    statuses=self.pipeline.status_encoder)
-            return extract_host_features_columns(batch, self._asn_db,
-                                                 config.feature_config)
+        if config.use_engine:
+            return extract_seed_columns(seed, self.pipeline, config.feature_config)
         return extract_host_features(seed.observations, self._asn_db,
                                      config.feature_config)
 
     def _resident_dataset(self, host_features) -> Optional[ResidentHostGroups]:
-        """Load the seed's host groups into the runtime's workers, if configured.
+        """Load the seed's host groups into the runtime's workers.
 
-        Returns ``None`` unless the configuration routes the fused engine
-        through a persistent runtime; otherwise flattens and ships the
-        encoded columns once so all three builds of this run fold against
+        Returns ``None`` for the dict reference; otherwise ships the encoded
+        columns once so all three builds of this run fold against
         worker-resident shards.  The caller releases the dataset when the
         builds are done.
         """
-        config = self.config
-        if not (config.use_engine and config.engine_mode == "fused"):
-            return None
         runtime = self.runtime()
         if runtime is None:
             return None
-        return ResidentHostGroups(runtime, host_features, config.step_size)
-
-    def _per_call_executor(self):
-        """The ExecutorConfig for per-call engine dispatch (None if runtime-based)."""
-        executor = self.config.executor
-        return None if isinstance(executor, str) else executor
+        return ResidentHostGroups(runtime, host_features, self.config.step_size)
 
     def _build_model(self, host_features, dataset) -> CooccurrenceModel:
-        """Build the Section 5.2 model on the configured execution path.
-
-        ``config.column_backend`` rides along to the engine paths: with
-        ``"numpy"`` the fused columnar folds run the vectorized kernels
-        (:mod:`repro.engine.columns`); the non-engine reference path is the
-        oracle and always stays stdlib.
-        """
-        config = self.config
+        """Build the Section 5.2 model on the resident dataset, if any."""
         if dataset is not None:
-            return build_model_with_engine(host_features, mode=config.engine_mode,
-                                           dataset=dataset,
-                                           column_backend=config.column_backend)
-        if config.use_engine:
-            return build_model_with_engine(host_features, self._per_call_executor(),
-                                           mode=config.engine_mode,
-                                           column_backend=config.column_backend)
+            return build_model_with_engine(dataset, self.config.column_backend)
         return build_model(host_features)
 
     def _build_priors_plan(self, host_features, model: CooccurrenceModel, dataset):
-        """Build the Section 5.3 priors plan on the configured execution path."""
+        """Build the Section 5.3 priors plan on the resident dataset, if any."""
         config = self.config
         if dataset is not None:
             return build_priors_plan_with_engine(
-                host_features, model, config.step_size, config.port_domain,
-                mode=config.engine_mode, dataset=dataset)
-        if config.use_engine:
-            return build_priors_plan_with_engine(
-                host_features, model, config.step_size, config.port_domain,
-                executor=self._per_call_executor(), mode=config.engine_mode)
+                dataset, model, config.step_size, config.port_domain)
         return build_priors_plan(host_features, model, config.step_size,
                                  config.port_domain)
 
     def _build_feature_index(self, host_features, model: CooccurrenceModel,
-                             dataset=None) -> PredictiveFeatureIndex:
-        """Build the most-predictive-feature index on the configured path.
-
-        ``use_engine`` routes the Section 5.4 index build through the fused
-        argmax engine (``engine_mode`` selects fused/legacy, exactly like the
-        model and priors paths); a resident ``dataset`` folds it against the
-        runtime's worker-held shards; otherwise the single-core reference
-        implementation runs.  All paths produce identical indices.
-        """
+                             dataset) -> PredictiveFeatureIndex:
+        """Build the Section 5.4 index on the resident dataset, if any."""
         config = self.config
         if dataset is not None:
             return build_prediction_index_with_engine(
-                host_features, model,
+                dataset, model,
                 probability_cutoff=config.probability_cutoff,
                 port_domain=config.port_domain,
                 min_pattern_support=config.min_pattern_support,
-                mode=config.engine_mode,
-                dataset=dataset,
-            )
-        if config.use_engine:
-            return build_prediction_index_with_engine(
-                host_features, model,
-                probability_cutoff=config.probability_cutoff,
-                port_domain=config.port_domain,
-                min_pattern_support=config.min_pattern_support,
-                executor=self._per_call_executor(),
-                mode=config.engine_mode,
             )
         return PredictiveFeatureIndex.from_seed(
             host_features, model,

@@ -10,7 +10,7 @@ hands out a dense integer id, so the rest of a query operates on flat ints:
   a few nanoseconds;
 * partitioning can shard on the id itself, independent of
   ``PYTHONHASHSEED``;
-* the process backend ships columns of ints instead of lists of nested
+* pool workers receive columns of ints instead of lists of nested
   tuples, which shrinks and speeds up the pickle payloads dramatically.
 
 Ids are assigned in first-seen order, so encoding is deterministic for a
@@ -76,7 +76,7 @@ class DictionaryEncoder:
         """The interned values in id order (``values()[i]`` decodes id ``i``).
 
         Side tables aligned with the id space are built from this view: the
-        fused priors planner, for example, derives one probability row per
+        resident host groups, for example, derive one count row per
         interned predictor tuple by iterating the values once after all
         columns are encoded.
         """

@@ -1,27 +1,23 @@
-"""Persistent execution runtime: a shared worker pool for all fused plans.
+"""Persistent execution runtime: a shared worker pool for the fused folds.
 
-The parallel driver in :mod:`repro.engine.parallel` creates a fresh
-``ProcessPoolExecutor`` per call: every plan execution pays worker spawn plus
-a full re-ship of the data, which is why the process backend stays
-spawn-dominated at interactive scale (see ``BENCH_priors.json``).  High-rate
-scanners avoid exactly this trap -- ZMap/LZR keep long-lived workers over a
-partitioned address space and stream work *to* the data.  The
-:class:`EngineRuntime` applies the same architecture to the engine's query
-plans:
+GPS's three Table 2 builds all fold over the seed's host/service/predictor
+relation.  The :class:`EngineRuntime` holds that relation resident in
+long-lived workers -- the architecture high-rate scanners use (ZMap/LZR keep
+long-lived workers over a partitioned address space and stream work *to*
+the data):
 
-* **one pool, many plans** -- workers start once per runtime and execute
-  every subsequent plan (:class:`~repro.engine.fused.FusedJoinPlan`,
-  :class:`~repro.engine.fused.FusedPartnerPlan`,
-  :class:`~repro.engine.fused.FusedArgmaxPlan`) without respawning;
+* **one pool, many builds** -- workers start once per runtime and execute
+  every subsequent fold (model, priors, prediction index) without
+  respawning;
 * **sharded residency** -- dictionary-encoded column payloads
   (:mod:`repro.engine.shard`) load into workers once, each worker holding its
   shard resident, so repeated builds against the same data (model -> priors
-  -> prediction index in one GPS run) ship only the plan parameters, never
+  -> prediction index in one GPS run) ship only the build parameters, never
   the columns;
 * **one dispatch protocol** -- the ``serial``, ``thread`` and ``pool``
   executors implement the same :class:`Executor` interface, so callers pick
   a backend by name and results are bit-identical across all three (the
-  equivalence suites assert it).
+  golden digests pin it).
 
 Workers are plain interpreter processes started with the ``spawn`` method
 (fork-safety on 3.12+, identical behaviour on 3.10-3.12); each owns a
@@ -106,13 +102,13 @@ _LOGGER = logging.getLogger("repro.engine.runtime")
 #: stream instead of growing parallel logging paths.
 RUNTIME_EVENT_BUS = EventBus()
 
-#: Executor backends an :class:`EngineRuntime` can run plans on.
+#: Executor backends an :class:`EngineRuntime` can run folds on.
 RUNTIME_EXECUTORS = ("serial", "thread", "pool")
 
 #: Packing base for the resident model fold: group keys are
 #: ``(predictor id, target port)`` pairs and ports are < 65536, so
 #: ``pid * 65536 + port`` is bijective and the packed counter unpacks
-#: losslessly (see :func:`repro.engine.fused.packing_base`).
+#: losslessly via ``divmod``.
 MODEL_PACK_BASE = 65536
 
 
@@ -305,24 +301,6 @@ def _task_count_rows(shard: Optional[dict], broadcast: Optional[dict],
     return Counter(args)
 
 
-def _task_join_chunk(shard: Optional[dict], broadcast: Optional[dict],
-                     args: Any) -> Counter:
-    """Stateless fused join+group-count over a shipped chunk payload."""
-    return count_join_chunk(args)
-
-
-def _task_partner_chunk(shard: Optional[dict], broadcast: Optional[dict],
-                        args: Any) -> Counter:
-    """Stateless fused partner-selection count over a shipped chunk payload."""
-    return count_partner_chunk(args)
-
-
-def _task_argmax_chunk(shard: Optional[dict], broadcast: Optional[dict],
-                       args: Any) -> List[Tuple[int, int, float]]:
-    """Stateless fused argmax selection over a shipped chunk payload."""
-    return select_argmax_chunk(args)
-
-
 #: Shard columns the row-by-row tasks hydrate into boxed lists (see
 #: :func:`_shard_lists`).
 _HYDRATED_COLUMNS = ("group_keys", "member_starts", "labels", "value_starts",
@@ -353,13 +331,11 @@ def _derive_model_join(shard: dict) -> Tuple[Any, ...]:
     """Derive the resident model-build join payload from host-group columns.
 
     The co-occurrence query over one shard of hosts is a self-join local to
-    the shard: the left side streams one row per (host, port, predictor id),
-    the right index maps each shard-local host to its ``(port,)`` rows, and
-    the left-vs-right exclusion drops the self-pairs.  Group keys are
-    ``(predictor id, target port)`` packed into one int (ports < 65536), so
-    the fold runs :func:`~repro.engine.fused.count_join_chunk`'s packed fast
-    path.  Derivation happens worker-side on first use and is cached in the
-    resident shard, so repeated model builds skip it entirely.
+    the shard: one streamed row per (host, port, predictor id) meets every
+    port of its host, minus the self pair (see
+    :func:`~repro.engine.fused.count_join_chunk`).  Derivation happens
+    worker-side on first use and is cached in the resident shard, so
+    repeated model builds skip it entirely.
     """
     lists = _shard_lists(shard)
     member_starts = lists["member_starts"]
@@ -369,20 +345,17 @@ def _derive_model_join(shard: dict) -> Tuple[Any, ...]:
     left_host: List[int] = []
     left_port: List[int] = []
     left_pid: List[int] = []
-    index: Dict[int, List[Tuple[int]]] = {}
+    index: List[List[int]] = []
     for g in range(len(member_starts) - 1):
         m_lo, m_hi = member_starts[g], member_starts[g + 1]
-        if m_lo == m_hi:
-            continue
-        index[g] = [(labels[m],) for m in range(m_lo, m_hi)]
+        index.append(labels[m_lo:m_hi])
         for m in range(m_lo, m_hi):
             port = labels[m]
             for v in range(value_starts[m], value_starts[m + 1]):
                 left_host.append(g)
                 left_port.append(port)
                 left_pid.append(value_ids[v])
-    return ([left_host], [(0, left_pid)], ("LR", left_port, 0), [(1, 0)], 2,
-            index, MODEL_PACK_BASE)
+    return left_host, left_pid, left_port, index, MODEL_PACK_BASE
 
 
 def _task_model_pairs(shard: dict, broadcast: Optional[dict], args: Any) -> Any:
@@ -490,9 +463,6 @@ def _task_crash(shard: Optional[dict], broadcast: Optional[dict], args: Any) -> 
 
 _TASKS: Dict[str, Callable[[Optional[dict], Optional[dict], Any], Any]] = {
     "count_rows": _task_count_rows,
-    "join_chunk": _task_join_chunk,
-    "partner_chunk": _task_partner_chunk,
-    "argmax_chunk": _task_argmax_chunk,
     "model_pairs": _task_model_pairs,
     "model_denominators": _task_model_denominators,
     "priors_partner": _task_priors_partner,
@@ -1444,17 +1414,16 @@ class PoolExecutor(Executor):
 
 
 class EngineRuntime:
-    """A persistent, shard-aware execution runtime for fused query plans.
+    """A persistent, shard-aware execution runtime for the fused folds.
 
     One runtime owns one executor backend (``serial``, ``thread`` or
     ``pool``) for its whole life: workers start once (lazily, on first use)
-    and every plan execution reuses them.  Data ships through
+    and every fold reuses them.  Data ships through
     :meth:`load_shards` / :meth:`load_broadcast` and stays resident in the
     workers under a caller-chosen key; :meth:`execute` then runs a registered
     task against each resident shard, shipping only per-call arguments.
-    :meth:`map_stateless` covers the classic scatter path (payload chunks
-    shipped per call) for plans whose data is not resident -- still on the
-    warm pool, so per-call process spawn is gone either way.
+    :meth:`map_stateless` runs a task over shipped payloads with no
+    residency (the supervision and lifecycle drills use it).
 
     Results are bit-identical across backends and shard counts: counter
     tasks merge order-independently, and order-sensitive tasks come back
@@ -1540,11 +1509,6 @@ class EngineRuntime:
         call).
         """
         return self._backend is not None and self._backend.broken
-
-    @property
-    def wants_encoded_payloads(self) -> bool:
-        """True when payloads cross a process boundary (encode before shipping)."""
-        return self.executor == "pool"
 
     @property
     def recovery_stats(self) -> RecoveryStats:
@@ -1744,12 +1708,10 @@ class EngineRuntime:
         return self._run_observed(fn_name, tasks)
 
     def map_stateless(self, fn_name: str, payloads: Sequence[Any]) -> List[Any]:
-        """Run a registered task over shipped payload chunks (no residency).
+        """Run a registered task over shipped payloads (no residency).
 
-        The persistent-pool replacement for
-        :meth:`repro.engine.parallel.ParallelExecutor.map`: payload ``i``
-        runs on worker ``i % num_workers``, results return in payload order,
-        and no process is spawned per call.
+        Payload ``i`` runs on worker ``i % num_workers`` and results return
+        in payload order.
         """
         if fn_name not in _TASKS:
             raise KeyError(f"unknown runtime task: {fn_name!r}")

@@ -1,12 +1,9 @@
 """Sharding encoded columns for the persistent execution runtime.
 
-The parallel driver in :mod:`repro.engine.parallel` scatters *contiguous
-chunks*: cheap to slice, but meaningless as an identity -- chunk boundaries
-move whenever the worker count does, so a worker can never keep "its" chunk
-around between calls.  The persistent runtime (:mod:`repro.engine.runtime`)
-needs the opposite: a partitioning that is a stable property of the *data*,
-so each worker can hold its shard resident and later plan executions ship
-nothing but the plan.
+The persistent runtime (:mod:`repro.engine.runtime`) keeps each worker's
+share of the data resident between calls, so it needs a partitioning that
+is a stable property of the *data* -- each worker holds its shard and later
+folds ship nothing but their parameters.
 
 :func:`shard_assignments` provides that identity: rows (or groups) are
 assigned to shards by :func:`repro.engine.encoding.stable_hash`, which does
@@ -17,9 +14,8 @@ the worker count re-distributes shards, never splits them).
 
 Two layouts are sharded:
 
-* :func:`shard_columns` -- flat named columns (the join operator's streamed
-  side): rows scatter by the hash of a key column, and parallel columns stay
-  row-aligned within each shard.
+* :func:`shard_columns` -- flat named columns: rows scatter by the hash of a
+  key column, and parallel columns stay row-aligned within each shard.
 * :func:`shard_group_columns` -- group-structured columns (the partner /
   argmax operators' flattening: groups own contiguous member runs, members
   own contiguous value runs): whole groups scatter by the hash of a per-group
@@ -97,8 +93,7 @@ def shard_columns(columns: Mapping[str, Sequence[Any]], key: str,
     Every column must be parallel to ``columns[key]``; rows keep their
     relative order within a shard, and each shard's columns stay row-aligned.
     Row order across shards is *not* preserved -- this layout is for
-    order-insensitive folds (counters), which is exactly what the fused join
-    produces.
+    order-insensitive folds (counters).
     """
     key_col = columns[key]
     names = list(columns)

@@ -15,8 +15,7 @@ registry calls exactly the build functions the :class:`~repro.core.gps.GPS`
 orchestrator calls (``build_model_with_engine`` /
 ``build_priors_plan_with_engine`` / ``build_prediction_index_with_engine``
 against a :class:`~repro.core.runtime_plans.ResidentHostGroups`), and the
-equivalence battery pins served predictions against the serial one-shot
-oracle.
+equivalence battery pins served predictions against the dict reference.
 
 Load/swap/evict semantics: :meth:`ModelRegistry.register` under a name that
 is already taken builds the replacement first and swaps atomically, so
@@ -34,7 +33,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.config import GPSConfig
-from repro.core.features import extract_host_features, extract_host_features_columns
+from repro.core.features import extract_host_features
+from repro.core.gps import extract_seed_columns, make_runtime
 from repro.core.model import CooccurrenceModel, build_model, build_model_with_engine
 from repro.core.predictions import (
     PredictedService,
@@ -50,7 +50,7 @@ from repro.core.runtime_plans import ResidentHostGroups
 from repro.engine.runtime import EngineRuntime
 from repro.net.asn import AsnDatabase
 from repro.scanner.pipeline import ScanPipeline, SeedScanResult
-from repro.scanner.records import ObservationBatch, ScanObservation
+from repro.scanner.records import ScanObservation
 from repro.serving.schemas import ModelInfo, ModelNotFound
 
 Pair = Tuple[int, int]
@@ -70,7 +70,7 @@ class PreparedModel:
         priors_plan: the ordered priors scan list.
         index: the predictive-feature index every lookup reads.
         resident: the seed's encoded columns, resident in the runtime's
-            workers (``None`` when the model was built on a per-call path).
+            workers (``None`` when the model holds no runtime).
         build_seconds: wall-clock cost of acquiring the artifacts -- the
             full build for ``source="built"`` models, the snapshot load for
             ``source="snapshot"`` ones (``BENCH_snapshot.json`` compares the
@@ -192,8 +192,8 @@ class PreparedModel:
         priors_plan = snapshot.priors_plan()
         index = snapshot.prediction_index()
         resident: Optional[ResidentHostGroups] = None
-        fused = config.use_engine and config.engine_mode == "fused"
-        if runtime is not None and fused and snapshot.shard_layout() is not None:
+        if (runtime is not None and config.use_engine
+                and snapshot.shard_layout() is not None):
             resident = ResidentHostGroups.from_snapshot(runtime, snapshot)
         try:
             return cls(
@@ -226,74 +226,57 @@ def build_prepared_model(
     """Build one model's artifacts the way the one-shot orchestrator would.
 
     Feature extraction, model build, priors planning and the index build
-    follow exactly the :class:`~repro.core.gps.GPS` helper logic: fused
-    engine configurations ingest columnar and, when a ``runtime`` is
-    supplied, fold against worker-resident shards loaded once; legacy /
-    non-engine configurations run the single-core reference path (the
-    oracle).  Unlike the orchestrator, the resident shards are *not*
-    released after the build -- they belong to the registered model and are
-    freed on evict/swap.
+    follow exactly the :class:`~repro.core.gps.GPS` helper logic:
+    ``use_engine`` configurations ingest columnar and fold against
+    worker-resident shards loaded once; other configurations run the
+    single-core dict reference (the oracle).  With a ``runtime`` the
+    resident shards are *not* released after the build -- they belong to
+    the registered model and are freed on evict/swap.  Without one, a
+    runtime described by ``config`` lives for this build only.
     """
     config = config or GPSConfig()
-    asn_db = pipeline.universe.topology.asn_db
     start = time.perf_counter()
 
-    fused = config.use_engine and config.engine_mode == "fused"
-    if fused:
-        batch = seed.batch
-        if batch is None:
-            # Rebuild columns in the pipeline's status-id space instead of
-            # re-encoding into a fresh one per prepared model.
-            batch = ObservationBatch.from_observations(
-                seed.observations, statuses=pipeline.status_encoder)
-        host_features = extract_host_features_columns(batch, asn_db,
-                                                      config.feature_config)
+    if not config.use_engine:
+        host_features = extract_host_features(
+            seed.observations, pipeline.universe.topology.asn_db,
+            config.feature_config)
+        model = build_model(host_features)
+        priors_plan = build_priors_plan(host_features, model,
+                                        config.step_size, config.port_domain)
+        index = PredictiveFeatureIndex.from_seed(
+            host_features, model,
+            probability_cutoff=config.probability_cutoff,
+            port_domain=config.port_domain,
+            min_pattern_support=config.min_pattern_support)
+        resident = None
     else:
-        host_features = extract_host_features(seed.observations, asn_db,
-                                              config.feature_config)
-
-    resident: Optional[ResidentHostGroups] = None
-    if fused and runtime is not None:
-        resident = ResidentHostGroups(runtime, host_features, config.step_size)
-    try:
-        if resident is not None:
-            model = build_model_with_engine(host_features, mode=config.engine_mode,
-                                            dataset=resident)
-            priors_plan = build_priors_plan_with_engine(
-                host_features, model, config.step_size, config.port_domain,
-                mode=config.engine_mode, dataset=resident)
-            index = build_prediction_index_with_engine(
-                host_features, model,
-                probability_cutoff=config.probability_cutoff,
-                port_domain=config.port_domain,
-                min_pattern_support=config.min_pattern_support,
-                mode=config.engine_mode, dataset=resident)
-        elif config.use_engine:
-            model = build_model_with_engine(host_features, mode=config.engine_mode)
-            priors_plan = build_priors_plan_with_engine(
-                host_features, model, config.step_size, config.port_domain,
-                mode=config.engine_mode)
-            index = build_prediction_index_with_engine(
-                host_features, model,
-                probability_cutoff=config.probability_cutoff,
-                port_domain=config.port_domain,
-                min_pattern_support=config.min_pattern_support,
-                mode=config.engine_mode)
-        else:
-            model = build_model(host_features)
-            priors_plan = build_priors_plan(host_features, model,
-                                            config.step_size, config.port_domain)
-            index = PredictiveFeatureIndex.from_seed(
-                host_features, model,
-                probability_cutoff=config.probability_cutoff,
-                port_domain=config.port_domain,
-                min_pattern_support=config.min_pattern_support)
-    except BaseException:
-        # A failed build must not leak its shards into the warm pool for the
-        # runtime's whole life: nobody will ever hold this model to release it.
-        if resident is not None:
-            resident.release()
-        raise
+        host_features = extract_seed_columns(seed, pipeline,
+                                             config.feature_config)
+        owned = make_runtime(config) if runtime is None else None
+        try:
+            resident = ResidentHostGroups(runtime or owned, host_features,
+                                          config.step_size)
+            try:
+                model = build_model_with_engine(resident, config.column_backend)
+                priors_plan = build_priors_plan_with_engine(
+                    resident, model, config.step_size, config.port_domain)
+                index = build_prediction_index_with_engine(
+                    resident, model,
+                    probability_cutoff=config.probability_cutoff,
+                    port_domain=config.port_domain,
+                    min_pattern_support=config.min_pattern_support)
+            except BaseException:
+                # A failed build must not leak its shards into the warm pool
+                # for the runtime's whole life: nobody will ever hold this
+                # model to release it.
+                resident.release()
+                raise
+        finally:
+            if owned is not None:
+                # Closing the build-only runtime frees its shards with it.
+                owned.close()
+                resident = None
 
     return PreparedModel(
         name=name,

@@ -309,9 +309,7 @@ class GPSService:
             assert self._build_lock is not None
             async with self._build_lock:
                 config = gps_config or GPSConfig(use_engine=True)
-                runtime = None
-                if config.use_engine and config.engine_mode == "fused":
-                    runtime = self.runtime()
+                runtime = self.runtime() if config.use_engine else None
                 loop = asyncio.get_running_loop()
                 prepared = await loop.run_in_executor(
                     self._threads, build_prepared_model, name, pipeline, seed,
@@ -330,7 +328,7 @@ class GPSService:
         """Warm-restart a model from an on-disk snapshot directory.
 
         The Table 2 artifacts deserialize instead of rebuilding, and under
-        the fused pool the host-group shards reach workers as mmap file
+        the pool runtime the host-group shards reach workers as mmap file
         references -- zero shard bytes cross the inbox queues.  Everything
         else matches :meth:`load_model`: builds serialize on the build lock,
         the name swaps atomically, and the reply is the registered model's
@@ -343,9 +341,7 @@ class GPSService:
             assert self._build_lock is not None
             async with self._build_lock:
                 config = gps_config or GPSConfig(use_engine=True)
-                runtime = None
-                if config.use_engine and config.engine_mode == "fused":
-                    runtime = self.runtime()
+                runtime = self.runtime() if config.use_engine else None
                 loop = asyncio.get_running_loop()
                 prepared = await loop.run_in_executor(
                     self._threads, PreparedModel.from_snapshot, name, pipeline,

@@ -60,12 +60,12 @@ def test_committed_baselines_pass_the_check(capsys):
 
 def test_seeded_static_floor_regression_fails(results_dir, capsys):
     """Dropping a headline ratio below its static floor fails --check."""
-    _doctor(results_dir, "BENCH_engine.json",
-            lambda d: d.__setitem__("fused_serial_speedup", 2.0))
+    _doctor(results_dir, "BENCH_priors.json",
+            lambda d: d.__setitem__("priors_fused_serial_speedup", 1.0))
     assert _run(results_dir, "--check") == 1
     captured = capsys.readouterr()
     assert "FLOOR REGRESSION" in captured.err
-    assert "fused model build vs legacy" in captured.err
+    assert "serial-runtime priors plan vs dict reference" in captured.err
 
 
 def test_seeded_recorded_floor_regression_fails(results_dir):
@@ -78,8 +78,8 @@ def test_seeded_recorded_floor_regression_fails(results_dir):
 
 def test_without_check_regressions_warn_but_pass(results_dir):
     """The report job renders on every build; only --check gates."""
-    _doctor(results_dir, "BENCH_engine.json",
-            lambda d: d.__setitem__("fused_serial_speedup", 2.0))
+    _doctor(results_dir, "BENCH_priors.json",
+            lambda d: d.__setitem__("priors_fused_serial_speedup", 1.0))
     assert _run(results_dir) == 0
 
 
@@ -119,10 +119,10 @@ def test_best_leg_wins_across_matrix_copies(results_dir, tmp_path):
     shared runner must not fail a speedup a sibling leg demonstrated."""
     slow_leg = results_dir / "leg-slow"
     slow_leg.mkdir()
-    shutil.copy(results_dir / "BENCH_engine.json",
-                slow_leg / "BENCH_engine.json")
-    _doctor(slow_leg, "BENCH_engine.json",
-            lambda d: d.__setitem__("fused_serial_speedup", 1.1))
+    shutil.copy(results_dir / "BENCH_priors.json",
+                slow_leg / "BENCH_priors.json")
+    _doctor(slow_leg, "BENCH_priors.json",
+            lambda d: d.__setitem__("priors_fused_serial_speedup", 1.1))
     assert _run(results_dir, "--check") == 0
 
 

@@ -53,17 +53,11 @@ class TestConfigs:
         {"max_full_scans": 0},
         {"prediction_batch_size": 0},
         {"port_domain": (0,)},
-        {"engine_mode": "vectorized"},
+        {"use_engine": True, "executor": "vectorized"},
     ])
     def test_gps_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             GPSConfig(**kwargs)
-
-    def test_port_allowed(self):
-        config = GPSConfig(port_domain=(80, 443))
-        assert config.port_allowed(80)
-        assert not config.port_allowed(22)
-        assert GPSConfig().port_allowed(12345)
 
 
 class TestNetworkFeatures:

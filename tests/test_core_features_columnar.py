@@ -4,8 +4,8 @@
 ``ObservationBatch`` columns into encoded ``HostFeatureColumns``; these tests
 pin it to ``extract_host_features`` (same hosts in the same order, same
 ports, same decoded predictor tuples in the same order) and pin the GPS
-orchestrator's fused columnar ingest to the legacy object-ingest path across
-every runtime executor.
+orchestrator's engine columnar ingest to the dict reference's object ingest
+across every runtime executor.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from repro.core.priors import build_priors_plan, build_priors_plan_with_engine
 from repro.engine.runtime import RUNTIME_EXECUTORS
 from repro.scanner.pipeline import ScanPipeline
 from repro.scanner.records import ObservationBatch, ScanObservation
+
+from engine_helpers import resident_groups
 
 
 def _assert_columns_match_oracle(columns, oracle):
@@ -94,7 +96,7 @@ class TestColumnarExtractionEquivalence:
         assert ("PA", 80, "http_server", "new") in columns.predictors_for(0)[80]
 
     def test_fused_builds_accept_columns(self, universe, censys_split):
-        """Per-call fused builds ingest the columns and match the oracles."""
+        """The engine builds ingest the columns and match the oracles."""
         config = FeatureConfig()
         asn_db = universe.topology.asn_db
         oracle = extract_host_features(censys_split.seed_observations, asn_db,
@@ -102,37 +104,26 @@ class TestColumnarExtractionEquivalence:
         columns = extract_host_features_columns(
             censys_split.seed_scan_result().batch, asn_db, config)
         model = build_model(oracle)
-        built = build_model_with_engine(columns)
-        assert built.denominators == model.denominators
-        assert {k: v for k, v in built.cooccurrence.items() if v} == \
-            {k: v for k, v in model.cooccurrence.items() if v}
-        assert build_priors_plan_with_engine(columns, model, 16) == \
-            build_priors_plan(oracle, model, 16)
-        assert build_prediction_index_with_engine(columns, model).entries() == \
-            PredictiveFeatureIndex.from_seed(oracle, model).entries()
-
-    def test_legacy_mode_rejects_columns(self, universe, censys_split):
-        columns = extract_host_features_columns(
-            censys_split.seed_scan_result().batch,
-            universe.topology.asn_db, FeatureConfig())
-        model = build_model_with_engine(columns)
-        with pytest.raises(ValueError, match="fused"):
-            build_model_with_engine(columns, mode="legacy")
-        with pytest.raises(ValueError, match="fused"):
-            build_priors_plan_with_engine(columns, model, 16, mode="legacy")
-        with pytest.raises(ValueError, match="fused"):
-            build_prediction_index_with_engine(columns, model, mode="legacy")
+        with resident_groups(columns) as dataset:
+            built = build_model_with_engine(dataset)
+            assert built.denominators == model.denominators
+            assert {k: v for k, v in built.cooccurrence.items() if v} == \
+                {k: v for k, v in model.cooccurrence.items() if v}
+            assert build_priors_plan_with_engine(dataset, model, 16) == \
+                build_priors_plan(oracle, model, 16)
+            assert build_prediction_index_with_engine(dataset, model).entries() == \
+                PredictiveFeatureIndex.from_seed(oracle, model).entries()
 
 
 class TestGPSColumnarIngestEquivalence:
-    """Fused columnar GPS output == legacy object-ingest GPS output."""
+    """Engine columnar GPS output == dict-reference object-ingest GPS output
+    (the "legacy" run below)."""
 
     @pytest.fixture(scope="class")
     def legacy_run(self, universe, censys_dataset, censys_split):
         pipeline = ScanPipeline(universe)
         config = GPSConfig(seed_fraction=0.05, step_size=16,
-                           port_domain=censys_dataset.port_domain,
-                           use_engine=True, engine_mode="legacy")
+                           port_domain=censys_dataset.port_domain)
         with GPS(pipeline, config) as gps:
             return gps.run(seed=censys_split.seed_scan_result(),
                            seed_cost_probes=0)

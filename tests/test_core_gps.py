@@ -117,7 +117,7 @@ class TestBudgetEnforcement:
 
 
 class TestEngineBackedRun:
-    def test_engine_model_produces_same_discoveries(self, universe, censys_dataset,
+    def test_engine_build_produces_same_discoveries(self, universe, censys_dataset,
                                                     censys_split, gps_run):
         reference_result, _ = gps_run
         pipeline = ScanPipeline(universe)

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import FeatureConfig
-from repro.core.features import extract_host_features
-from repro.core.model import (
-    CooccurrenceModel,
-    build_model,
-    build_model_with_engine,
-    host_features_to_tables,
-)
-from repro.engine.parallel import ExecutorConfig
+from repro.core.features import HostFeatures, extract_host_features
+from repro.core.model import CooccurrenceModel, build_model, build_model_with_engine
+from repro.engine.columns import numpy_available
 from repro.scanner.records import ScanObservation
+
+from engine_helpers import resident_groups
+
+#: Column backends the engine model fold is checked under.
+BACKENDS = ["stdlib", pytest.param("numpy", marks=pytest.mark.skipif(
+    not numpy_available(), reason="numpy column backend not installed"))]
 
 
 def _obs(ip: int, port: int, protocol: str = "http", **features) -> ScanObservation:
@@ -89,14 +90,19 @@ class TestBuildModel:
         assert rich.predictor_count() > sparse.predictor_count()
 
 
+def _resident_model(hosts, column_backend="stdlib", **runtime):
+    with resident_groups(hosts, **runtime) as dataset:
+        return build_model_with_engine(dataset, column_backend)
+
+
 class TestEngineEquivalence:
     def _assert_models_equal(self, a: CooccurrenceModel, b: CooccurrenceModel):
         assert a.denominators == b.denominators
         assert {k: dict(v) for k, v in a.cooccurrence.items() if v} == \
             {k: dict(v) for k, v in b.cooccurrence.items() if v}
 
-    @pytest.mark.parametrize("mode", ["fused", "legacy"])
-    def test_engine_matches_reference_on_handcrafted_hosts(self, mode):
+    @pytest.mark.parametrize("column_backend", BACKENDS)
+    def test_engine_matches_reference_on_handcrafted_hosts(self, column_backend):
         observations = [
             _obs(1, 80, http_server="a"), _obs(1, 443), _obs(1, 22),
             _obs(2, 80, http_server="b"), _obs(2, 8080),
@@ -104,53 +110,45 @@ class TestEngineEquivalence:
         ]
         hosts = _hosts(observations)
         self._assert_models_equal(build_model(hosts),
-                                  build_model_with_engine(hosts, mode=mode))
+                                  _resident_model(hosts, column_backend))
 
-    @pytest.mark.parametrize("mode", ["fused", "legacy"])
-    @pytest.mark.parametrize("config", [
-        ExecutorConfig(backend="serial", workers=4),
-        ExecutorConfig(backend="thread", workers=4),
-    ])
-    def test_engine_matches_reference_with_parallel_workers(self, mode, config):
+    @pytest.mark.parametrize("column_backend", BACKENDS)
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_engine_matches_reference_with_parallel_workers(self, executor,
+                                                            column_backend):
         observations = [
             _obs(ip, port)
             for ip in range(1, 30)
             for port in ((80, 443) if ip % 2 else (22, 80, 8080))
         ]
         hosts = _hosts(observations)
-        parallel = build_model_with_engine(hosts, config, mode=mode)
+        parallel = _resident_model(hosts, column_backend, executor=executor,
+                                 num_workers=4 if executor == "thread" else 1,
+                                 shard_count=4)
         self._assert_models_equal(build_model(hosts), parallel)
 
-    @pytest.mark.parametrize("mode", ["fused", "legacy"])
-    def test_engine_matches_reference_on_process_backend(self, mode):
+    @pytest.mark.parametrize("column_backend", BACKENDS)
+    def test_engine_matches_reference_on_pool_backend(self, column_backend):
         observations = [
             _obs(ip, port, http_server="srv%d" % (ip % 3))
             for ip in range(1, 25)
             for port in ((80, 443) if ip % 2 else (22, 80, 8080))
         ]
         hosts = _hosts(observations)
-        parallel = build_model_with_engine(
-            hosts, ExecutorConfig(backend="process", workers=2), mode=mode)
+        parallel = _resident_model(hosts, column_backend, executor="pool",
+                                 num_workers=2)
         self._assert_models_equal(build_model(hosts), parallel)
 
-    @pytest.mark.parametrize("mode", ["fused", "legacy"])
-    def test_engine_matches_reference_on_universe_seed(self, universe, censys_split,
-                                                       mode):
+    def test_engine_matches_reference_on_universe_seed(self, universe, censys_split):
         hosts = extract_host_features(censys_split.seed_observations,
                                       universe.topology.asn_db, FeatureConfig())
-        self._assert_models_equal(build_model(hosts),
-                                  build_model_with_engine(hosts, mode=mode))
+        self._assert_models_equal(build_model(hosts), _resident_model(hosts))
 
-    def test_unknown_engine_mode_rejected(self):
-        with pytest.raises(ValueError):
-            build_model_with_engine({}, mode="vectorized")
-
-    def test_host_features_to_tables_shapes(self):
-        hosts = _hosts([_obs(1, 80), _obs(1, 443)])
-        features, ports = host_features_to_tables(hosts)
-        assert len(ports) == 2
-        assert len(features) >= 2
-        assert set(features.names) == {"ip", "port", "predictor"}
+    def test_hosts_without_services_contribute_nothing(self):
+        hosts = _hosts([_obs(1, 80)])
+        hosts[2] = HostFeatures(ip=2)
+        self._assert_models_equal(build_model(hosts), _resident_model(hosts))
+        self._assert_models_equal(build_model({}), _resident_model({}))
 
 
 ports_strategy = st.lists(
@@ -173,38 +171,26 @@ class TestProperties:
                 assert 0.0 <= model.probability(predictor, port) <= 1.0
 
     @settings(deadline=None, max_examples=40)
-    @given(ports_strategy)
-    def test_engine_and_reference_agree(self, host_ports):
-        observations = [
-            _obs(ip + 1, port) for ip, ports in enumerate(host_ports) for port in ports
-        ]
-        hosts = _hosts(observations, FeatureConfig().transport_only())
-        reference = build_model(hosts)
-        engine = build_model_with_engine(hosts)
-        assert reference.denominators == engine.denominators
-        for predictor, targets in reference.cooccurrence.items():
-            for port, count in targets.items():
-                assert engine.cooccurrence.get(predictor, {}).get(port, 0) == count
-
-    @settings(deadline=None, max_examples=20)
-    @given(ports_strategy,
+    @given(ports_strategy, st.booleans(),
            st.sampled_from([("serial", 1), ("serial", 3), ("thread", 4)]))
-    def test_fused_legacy_and_reference_agree(self, host_ports, backend_workers):
-        # Full feature set (nested predictor tuples) so dictionary encoding
-        # and the packed fast path are exercised, across executor shapes.
-        backend, workers = backend_workers
+    def test_engine_and_reference_agree(self, host_ports, full_features,
+                                        executor_shards):
+        # The full feature set (nested predictor tuples) exercises dictionary
+        # encoding and the packed fold; shard counts vary the partitioning.
+        executor, shard_count = executor_shards
         observations = [
             _obs(ip + 1, port, http_server="srv%d" % (ip % 2))
             for ip, ports in enumerate(host_ports) for port in ports
         ]
-        hosts = _hosts(observations)
+        hosts = _hosts(observations, None if full_features
+                       else FeatureConfig().transport_only())
         reference = build_model(hosts)
-        config = ExecutorConfig(backend=backend, workers=workers)
-        for mode in ("fused", "legacy"):
-            engine = build_model_with_engine(hosts, config, mode=mode)
-            assert engine.denominators == reference.denominators
-            assert {k: v for k, v in engine.cooccurrence.items() if v} == \
-                {k: v for k, v in reference.cooccurrence.items() if v}
+        engine = _resident_model(hosts, executor=executor,
+                               num_workers=2 if executor == "thread" else 1,
+                               shard_count=shard_count)
+        assert reference.denominators == engine.denominators
+        assert {k: v for k, v in engine.cooccurrence.items() if v} == \
+            {k: v for k, v in reference.cooccurrence.items() if v}
 
     @settings(deadline=None, max_examples=40)
     @given(ports_strategy)

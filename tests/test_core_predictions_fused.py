@@ -1,9 +1,9 @@
 """Equivalence tests for the engine-backed prediction-index build.
 
-``build_prediction_index_with_engine`` is *defined* as producing the same
-:class:`~repro.core.predictions.PredictiveFeatureIndex` as the reference
+``build_prediction_index_with_engine`` produces the same
+:class:`~repro.core.predictions.PredictiveFeatureIndex` as the dict oracle
 ``PredictiveFeatureIndex.from_seed`` -- entry for entry, probabilities
-bit-identical, argmax ties broken identically -- for every executor backend.
+bit-identical, argmax ties broken identically -- on every runtime executor.
 The tests pin the tie-break ladder explicitly (probability, then support,
 then smallest predictor tuple), the min-support/fallback tiers and the
 cutoff, plus the bounded network-feature memo that ``predict`` keeps across
@@ -22,19 +22,22 @@ from repro.core.predictions import (
     NET_FEATURE_CACHE_MAX,
     PredictiveFeatureIndex,
     build_prediction_index_with_engine,
-    compile_prediction_index_query,
 )
 from repro.datasets.split import split_seed_test
-from repro.engine.fused import argmax_partner_select
-from repro.engine.parallel import ExecutorConfig
 from repro.scanner.records import ScanObservation
 
-EXECUTORS = (
-    None,
-    ExecutorConfig(backend="serial", workers=1),
-    ExecutorConfig(backend="thread", workers=3),
-    ExecutorConfig(backend="process", workers=2),
-)
+from engine_helpers import resident_groups
+
+#: ``(executor, workers, shards)`` runtimes the dataset-level equivalence
+#: runs on (``0`` takes the runtime's default).
+EXECUTORS = (("serial", 0, 0), ("serial", 1, 3), ("thread", 3, 0), ("pool", 2, 0))
+
+
+def _engine_index(hosts, model, executor="serial", num_workers=0,
+                  shard_count=0, **kwargs):
+    with resident_groups(hosts, executor=executor, num_workers=num_workers,
+                         shard_count=shard_count) as dataset:
+        return build_prediction_index_with_engine(dataset, model, **kwargs)
 
 
 def _host(ip, ports):
@@ -57,7 +60,7 @@ def _assert_indices_equal(fused, legacy):
 
 
 class TestFusedFromSeedEquivalence:
-    """Dataset-level fused == legacy, across executors and parameters."""
+    """Dataset-level engine == oracle, across executors and parameters."""
 
     @pytest.fixture(scope="class")
     def seed_inputs(self, universe, censys_dataset):
@@ -66,15 +69,15 @@ class TestFusedFromSeedEquivalence:
                                       universe.topology.asn_db, FeatureConfig())
         return hosts, build_model(hosts), censys_dataset.port_domain
 
-    @pytest.mark.parametrize("executor", EXECUTORS,
-                             ids=("default", "serial", "thread3", "process2"))
-    def test_matches_oracle_across_backends(self, seed_inputs, executor):
+    @pytest.mark.parametrize("executor,workers,shards", EXECUTORS,
+                             ids=("default", "serial", "thread3", "pool2"))
+    def test_matches_oracle_across_backends(self, seed_inputs, executor,
+                                            workers, shards):
         hosts, model, port_domain = seed_inputs
         legacy = PredictiveFeatureIndex.from_seed(hosts, model,
                                                   port_domain=port_domain)
-        fused = build_prediction_index_with_engine(hosts, model,
-                                                   port_domain=port_domain,
-                                                   executor=executor)
+        fused = _engine_index(hosts, model, executor, workers, shards,
+                              port_domain=port_domain)
         _assert_indices_equal(fused, legacy)
 
     @pytest.mark.parametrize("min_support", (1, 2, 3))
@@ -82,30 +85,15 @@ class TestFusedFromSeedEquivalence:
         hosts, model, _ = seed_inputs
         legacy = PredictiveFeatureIndex.from_seed(
             hosts, model, min_pattern_support=min_support)
-        fused = build_prediction_index_with_engine(
-            hosts, model, min_pattern_support=min_support)
+        fused = _engine_index(hosts, model, min_pattern_support=min_support)
         _assert_indices_equal(fused, legacy)
 
     def test_matches_oracle_with_cutoff(self, seed_inputs):
         hosts, model, _ = seed_inputs
         legacy = PredictiveFeatureIndex.from_seed(hosts, model,
                                                   probability_cutoff=0.3)
-        fused = build_prediction_index_with_engine(hosts, model,
-                                                   probability_cutoff=0.3)
+        fused = _engine_index(hosts, model, probability_cutoff=0.3)
         _assert_indices_equal(fused, legacy)
-
-    def test_legacy_mode_delegates(self, seed_inputs):
-        hosts, model, port_domain = seed_inputs
-        legacy = PredictiveFeatureIndex.from_seed(hosts, model,
-                                                  port_domain=port_domain)
-        delegated = build_prediction_index_with_engine(
-            hosts, model, port_domain=port_domain, mode="legacy")
-        _assert_indices_equal(delegated, legacy)
-
-    def test_unknown_mode_rejected(self, seed_inputs):
-        hosts, model, _ = seed_inputs
-        with pytest.raises(ValueError):
-            build_prediction_index_with_engine(hosts, model, mode="bigquery")
 
 
 class TestArgmaxTieBreaks:
@@ -115,9 +103,7 @@ class TestArgmaxTieBreaks:
         legacy = PredictiveFeatureIndex.from_seed(hosts, model,
                                                   probability_cutoff=0.0,
                                                   **kwargs)
-        fused = build_prediction_index_with_engine(hosts, model,
-                                                   probability_cutoff=0.0,
-                                                   **kwargs)
+        fused = _engine_index(hosts, model, probability_cutoff=0.0, **kwargs)
         _assert_indices_equal(fused, legacy)
         return fused, legacy
 
@@ -198,9 +184,8 @@ class TestArgmaxTieBreaks:
         legacy = PredictiveFeatureIndex.from_seed(hosts, model,
                                                   probability_cutoff=0.05,
                                                   min_pattern_support=1)
-        fused = build_prediction_index_with_engine(hosts, model,
-                                                   probability_cutoff=0.05,
-                                                   min_pattern_support=1)
+        fused = _engine_index(hosts, model, probability_cutoff=0.05,
+                              min_pattern_support=1)
         _assert_indices_equal(fused, legacy)
         assert len(fused) == 0
 
@@ -219,13 +204,21 @@ class TestArgmaxTieBreaks:
         assert fused.targets_for(pred_g) == {80: pytest.approx(1 / 3)}
         assert fused.targets_for(pred_f) == {22: 0.5}
 
-    def test_single_service_hosts_compile_to_no_groups(self):
+    def test_hosts_with_fewer_than_two_services_contribute_nothing(self):
         hosts = {1: _host(1, {80: [("P", 80)]}),
-                 2: _host(2, {80: [("P", 80)]})}
-        model = _model({("P", 80): 2}, {})
-        plan, _ = compile_prediction_index_query(hosts, model)
-        assert len(plan) == 0
-        assert argmax_partner_select(plan) == []
+                 2: _host(2, {80: [("P", 80)]}),
+                 3: HostFeatures(ip=3)}
+        model = _model({("P", 80): 2}, {("P", 80): {443: 1}})
+        fused, _ = self._both(hosts, model, min_pattern_support=1)
+        assert len(fused) == 0
+
+    def test_unknown_predictors_score_nothing(self):
+        # A model trained elsewhere: the host's predictors are unknown to
+        # it, so no pattern qualifies on either path.
+        hosts = {1: _host(1, {80: [("P", 80)], 443: [("P", 443)]})}
+        model = _model({("P", 22): 3}, {("P", 22): {80: 2}})
+        fused, _ = self._both(hosts, model, min_pattern_support=1)
+        assert len(fused) == 0
 
 
 class TestBoundedNetFeatureCache:

@@ -1,16 +1,14 @@
-"""Equivalence tests for the fused (engine-backed) priors planner.
+"""Equivalence tests for the engine-backed priors planner.
 
 The load-bearing property: :func:`repro.core.priors.build_priors_plan_with_engine`
-is *defined* as producing exactly the ordered
-:class:`~repro.core.priors.PriorsEntry` list of the legacy
-:func:`~repro.core.priors.build_priors_plan` oracle -- on handcrafted hosts,
-on randomized observation sets (hypothesis), for every step size / port
-domain, and across the serial, thread and process executor backends.
+produces exactly the ordered :class:`~repro.core.priors.PriorsEntry` list of
+the dict oracle :func:`~repro.core.priors.build_priors_plan` (called
+"legacy" in the test names) -- on handcrafted hosts, on randomized
+observation sets (hypothesis), for every step size / port domain, and across
+the runtime executors and shard counts.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,15 +16,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import FeatureConfig
 from repro.core.features import HostFeatures, extract_host_features
 from repro.core.model import CooccurrenceModel, build_model
-from repro.core.priors import (
-    build_priors_plan,
-    build_priors_plan_with_engine,
-    compile_priors_query,
-)
-from repro.engine.fused import partner_group_count
-from repro.engine.parallel import ExecutorConfig
+from repro.core.priors import build_priors_plan, build_priors_plan_with_engine
 from repro.net.ipv4 import parse_ip
 from repro.scanner.records import ScanObservation
+
+from engine_helpers import resident_groups
 
 
 def _obs(ip: int, port: int, protocol: str = "http", **features) -> ScanObservation:
@@ -38,6 +32,12 @@ def _obs(ip: int, port: int, protocol: str = "http", **features) -> ScanObservat
 def _model_and_hosts(observations):
     hosts = extract_host_features(observations, None, FeatureConfig())
     return build_model(hosts), hosts
+
+
+def _engine_plan(hosts, model, step_size, port_domain=None, **runtime):
+    with resident_groups(hosts, step_size, **runtime) as dataset:
+        return build_priors_plan_with_engine(dataset, model, step_size,
+                                             port_domain)
 
 
 @pytest.fixture()
@@ -62,45 +62,37 @@ class TestFusedPriorsEquivalence:
     def test_matches_legacy_across_step_sizes(self, camera_fleet, step_size):
         model, hosts = _model_and_hosts(camera_fleet)
         expected = build_priors_plan(hosts, model, step_size)
-        assert build_priors_plan_with_engine(hosts, model, step_size) == expected
+        assert _engine_plan(hosts, model, step_size) == expected
 
     @pytest.mark.parametrize("port_domain", [None, (80,), (554, 37777), (9999,)])
     def test_matches_legacy_with_port_domain(self, camera_fleet, port_domain):
         model, hosts = _model_and_hosts(camera_fleet)
         expected = build_priors_plan(hosts, model, 16, port_domain)
-        assert build_priors_plan_with_engine(hosts, model, 16, port_domain) == expected
+        assert _engine_plan(hosts, model, 16, port_domain) == expected
 
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("thread", 2), ("thread", 5), ("process", 2),
+        ("serial", 1), ("thread", 2), ("thread", 5), ("pool", 2),
     ])
     def test_matches_legacy_across_backends(self, camera_fleet, backend, workers):
         model, hosts = _model_and_hosts(camera_fleet)
         expected = build_priors_plan(hosts, model, 16)
-        executor = ExecutorConfig(backend=backend, workers=workers)
-        assert build_priors_plan_with_engine(hosts, model, 16,
-                                             executor=executor) == expected
-
-    def test_legacy_mode_delegates_to_oracle(self, camera_fleet):
-        model, hosts = _model_and_hosts(camera_fleet)
-        assert build_priors_plan_with_engine(hosts, model, 16, mode="legacy") == \
-            build_priors_plan(hosts, model, 16)
-
-    def test_unknown_mode_rejected(self, camera_fleet):
-        model, hosts = _model_and_hosts(camera_fleet)
-        with pytest.raises(ValueError):
-            build_priors_plan_with_engine(hosts, model, 16, mode="bigquery")
+        assert _engine_plan(hosts, model, 16, executor=backend,
+                            num_workers=workers) == expected
 
     def test_invalid_step_size_rejected(self, camera_fleet):
         model, hosts = _model_and_hosts(camera_fleet)
         with pytest.raises(ValueError):
-            build_priors_plan_with_engine(hosts, model, 40)
+            _engine_plan(hosts, model, 40)
+        with resident_groups(hosts, 16) as dataset:
+            with pytest.raises(ValueError):
+                build_priors_plan_with_engine(dataset, model, 20)
 
     def test_empty_hosts(self):
-        assert build_priors_plan_with_engine({}, CooccurrenceModel(), 16) == []
+        assert _engine_plan({}, CooccurrenceModel(), 16) == []
 
     def test_host_without_services_contributes_nothing(self):
         hosts = {1: HostFeatures(ip=1)}
-        assert build_priors_plan_with_engine(hosts, CooccurrenceModel(), 16) == []
+        assert _engine_plan(hosts, CooccurrenceModel(), 16) == []
 
     def test_foreign_model_with_unknown_predictors(self, camera_fleet):
         # A model trained on different observations: most predictors miss,
@@ -110,38 +102,16 @@ class TestFusedPriorsEquivalence:
                                      _obs(501, 22, protocol="ssh")])
         _, hosts = _model_and_hosts(camera_fleet)
         expected = build_priors_plan(hosts, model, 16)
-        assert build_priors_plan_with_engine(hosts, model, 16) == expected
+        assert _engine_plan(hosts, model, 16) == expected
 
 
 class TestCompiledPlan:
-    def test_small_hosts_skip_value_encoding(self, camera_fleet):
-        # One- and two-service hosts need no predictor evaluation, so only
-        # 3+-service hosts may contribute encoded values.
-        observations = [obs for obs in camera_fleet]
-        model, hosts = _model_and_hosts(observations)
-        plan = compile_priors_query(hosts, model, 16)
-        small_hosts = {h.ip for h in hosts.values() if len(h.ports) <= 2}
-        for g, ip in enumerate(hosts):
-            lo, hi = plan.member_starts[g], plan.member_starts[g + 1]
-            encoded = plan.value_starts[hi] - plan.value_starts[lo]
-            if ip in small_hosts:
-                assert encoded == 0
-            else:
-                assert encoded > 0
-
-    def test_plan_is_picklable_plain_data(self, camera_fleet):
-        model, hosts = _model_and_hosts(camera_fleet)
-        plan = compile_priors_query(hosts, model, 16)
-        clone = pickle.loads(pickle.dumps(plan))
-        assert partner_group_count(clone) == partner_group_count(plan)
-
     def test_chunked_execution_is_chunking_invariant(self, camera_fleet):
         model, hosts = _model_and_hosts(camera_fleet)
         expected = build_priors_plan(hosts, model, 16)
-        for workers in (1, 2, 3, 7, 50):
-            executor = ExecutorConfig(backend="thread", workers=workers)
-            assert build_priors_plan_with_engine(hosts, model, 16,
-                                                 executor=executor) == expected
+        for shards in (1, 2, 3, 7, 50):
+            assert _engine_plan(hosts, model, 16, executor="thread",
+                                num_workers=2, shard_count=shards) == expected
 
 
 # Random observation sets: a few hosts, a few ports, shared banner values so
@@ -173,13 +143,12 @@ class TestRandomizedEquivalence:
             observations.append(_obs(ip, port, protocol=protocol, **features))
         model, hosts = _model_and_hosts(observations)
         expected = build_priors_plan(hosts, model, step_size, port_domain)
-        got = build_priors_plan_with_engine(hosts, model, step_size, port_domain)
-        assert got == expected
+        assert _engine_plan(hosts, model, step_size, port_domain) == expected
 
     @settings(deadline=None, max_examples=20)
     @given(observation_sets, st.integers(1, 6),
            st.sampled_from(["serial", "thread"]))
-    def test_parallel_fused_equals_legacy(self, rows, workers, backend):
+    def test_parallel_fused_equals_legacy(self, rows, shards, backend):
         observations = []
         seen = set()
         for host_index, port, protocol, server in rows:
@@ -191,6 +160,6 @@ class TestRandomizedEquivalence:
             observations.append(_obs(ip, port, protocol=protocol, **features))
         model, hosts = _model_and_hosts(observations)
         expected = build_priors_plan(hosts, model, 16)
-        executor = ExecutorConfig(backend=backend, workers=workers)
-        assert build_priors_plan_with_engine(hosts, model, 16,
-                                             executor=executor) == expected
+        assert _engine_plan(hosts, model, 16, executor=backend,
+                            num_workers=2 if backend == "thread" else 1,
+                            shard_count=shards) == expected

@@ -1,10 +1,9 @@
-"""Tests for the fused streaming query layer and dictionary encoding.
+"""Tests for dictionary encoding, the stable sharding hash and the folds.
 
-The load-bearing property: :func:`repro.engine.fused.join_group_count` (and
-its partitioned form) is *defined* as equivalent to ``hash_join`` followed by
-``group_count``, so every test here compares the fused result against the
-materializing formulation on the same inputs -- handcrafted, randomized via
-hypothesis, and across all three executor backends.
+The folds' end-to-end equivalence with the dict reference is pinned by the
+golden digests (``tests/test_golden_discovery.py``) and the per-build
+equivalence tests; here the stdlib and numpy model folds are checked against
+each other on the same resident columns.
 """
 
 from __future__ import annotations
@@ -12,20 +11,19 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from repro.engine.columns import IntColumn, numpy_available
 from repro.engine.encoding import DictionaryEncoder, stable_hash
-from repro.engine.fused import compile_join_plan, join_group_count, packing_base
-from repro.engine.ops import group_count, hash_join
-from repro.engine.parallel import (
-    ExecutorConfig,
-    partition_rows,
-    partitioned_join_group_count,
+from repro.engine.fused import (
+    count_join_chunk,
+    fold_model_pairs_arrays,
+    fold_value_counts_arrays,
 )
-from repro.engine.table import Table
+from repro.engine.shard import shard_assignments
 
 
 class TestDictionaryEncoder:
@@ -70,16 +68,15 @@ class TestStableHash:
     def test_str_bearing_tuples_are_deterministic_across_hash_seeds(self):
         # The builtin hash of a str-bearing tuple changes with
         # PYTHONHASHSEED; stable_hash must not.  Regression test for
-        # bit-reproducible partitioning: compute shard assignments in two
+        # bit-reproducible sharding: compute shard assignments in two
         # subprocesses with different hash seeds and require identical
         # output.
         script = (
             "from repro.engine.encoding import stable_hash\n"
-            "from repro.engine.parallel import partition_rows\n"
+            "from repro.engine.shard import shard_assignments\n"
             "rows = [(p, 'proto-%d' % (p % 3)) for p in range(40)]\n"
-            "shards = partition_rows(rows, 4)\n"
             "print([stable_hash(r) for r in rows])\n"
-            "print([[tuple(r) for r in s] for s in shards])\n"
+            "print(shard_assignments(rows, 4))\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         outputs = []
@@ -96,163 +93,51 @@ class TestStableHash:
         assert stable_hash(1) == stable_hash(True) == stable_hash(1.0)
         assert stable_hash((1, "x")) == stable_hash((True, "x")) == \
             stable_hash((1.0, "x"))
-        shards = partition_rows([(1,), (True,), (1.0,)], 4)
-        assert sum(1 for shard in shards if shard) == 1
-
-    def test_partition_rows_still_covers_and_groups(self):
-        rows = [(i % 7, "s%d" % (i % 3)) for i in range(100)]
-        shards = partition_rows(rows, 4)
-        assert sum(len(shard) for shard in shards) == 100
-        # Same key always lands in the same shard.
-        location = {}
-        for shard_id, shard in enumerate(shards):
-            for row in shard:
-                assert location.setdefault(row, shard_id) == shard_id
+        assert len(set(shard_assignments([(1,), (True,), (1.0,)], 4))) == 1
 
 
-def _reference(left, right, on, keys, excl):
-    joined = hash_join(left, right, on=on, left_prefix="b_", right_prefix="a_",
-                       exclude_self_pairs_on=excl)
-    return group_count(joined, keys)
+#: Two hosts' group-structured columns: host 0 has ports 22, 80 and 443
+#: (port 80 carrying two predictor ids), host 1 has port 80 alone.
+MEMBER_STARTS = [0, 3, 4]
+LABELS = [22, 80, 443, 80]
+VALUE_STARTS = [0, 1, 3, 4, 5]
+VALUE_IDS = [0, 1, 2, 3, 1]
+PACK_BASE = 65536
 
 
-class TestJoinGroupCount:
-    @pytest.fixture()
-    def features(self):
-        rows = [
-            (1, 80, ("P", 80)), (1, 80, ("PA", 80, "k", "v")), (1, 443, ("P", 443)),
-            (2, 80, ("P", 80)), (2, 22, ("P", 22)),
-            (3, 8080, ("P", 8080)),
-        ]
-        return Table.from_rows(("ip", "port", "predictor"), rows)
-
-    @pytest.fixture()
-    def ports(self):
-        rows = [(1, 80), (1, 443), (2, 80), (2, 22), (3, 8080)]
-        return Table.from_rows(("ip", "port"), rows)
-
-    def test_matches_materialized_join_on_model_query(self, features, ports):
-        expected = _reference(features, ports, ("ip",), ("b_predictor", "a_port"),
-                              ("b_port", "a_port"))
-        got = join_group_count(features, ports, on=("ip",),
-                               keys=("b_predictor", "a_port"),
-                               left_prefix="b_", right_prefix="a_",
-                               exclude_self_pairs_on=("b_port", "a_port"))
-        assert dict(got) == dict(expected)
-
-    def test_without_exclusion(self, features, ports):
-        expected = _reference(features, ports, ("ip",), ("b_predictor", "a_port"), None)
-        got = join_group_count(features, ports, on=("ip",),
-                               keys=("b_predictor", "a_port"),
-                               left_prefix="b_", right_prefix="a_")
-        assert dict(got) == dict(expected)
-
-    def test_group_key_may_include_join_column(self, features, ports):
-        keys = ("ip", "b_predictor", "a_port")
-        expected = _reference(features, ports, ("ip",), keys, ("b_port", "a_port"))
-        got = join_group_count(features, ports, on=("ip",), keys=keys,
-                               left_prefix="b_", right_prefix="a_",
-                               exclude_self_pairs_on=("b_port", "a_port"))
-        assert dict(got) == dict(expected)
-
-    def test_unknown_group_column_raises(self, features, ports):
-        with pytest.raises(KeyError):
-            join_group_count(features, ports, on=("ip",), keys=("nope",),
-                             left_prefix="b_", right_prefix="a_")
-
-    def test_unknown_exclusion_column_raises(self, features, ports):
-        with pytest.raises(KeyError):
-            join_group_count(features, ports, on=("ip",), keys=("a_port",),
-                             left_prefix="b_", right_prefix="a_",
-                             exclude_self_pairs_on=("zz", "a_port"))
-
-    def test_empty_inputs(self):
-        empty = Table.empty(("ip", "port"))
-        got = join_group_count(empty, empty, on=("ip",), keys=("l_port", "r_port"))
-        assert dict(got) == {}
-
-    def test_packing_declined_for_negative_right_values(self):
-        left = Table.from_rows(("ip", "v"), [(1, 10), (2, 20)])
-        right = Table.from_rows(("ip", "w"), [(1, -5), (2, 3)])
-        plan = compile_join_plan(left, right, ("ip",), ("l_v", "r_w"))
-        assert packing_base(plan, left.columns, right.columns) is None
-        expected = group_count(hash_join(left, right, on=("ip",)), ("l_v", "r_w"))
-        got = join_group_count(left, right, on=("ip",), keys=("l_v", "r_w"))
-        assert dict(got) == dict(expected)
-
-    def test_packing_declined_for_non_int_columns(self):
-        left = Table.from_rows(("ip", "v"), [(1, "a"), (2, "b")])
-        right = Table.from_rows(("ip", "w"), [(1, 5), (2, 3)])
-        plan = compile_join_plan(left, right, ("ip",), ("l_v", "r_w"))
-        assert packing_base(plan, left.columns, right.columns) is None
-        expected = group_count(hash_join(left, right, on=("ip",)), ("l_v", "r_w"))
-        assert dict(join_group_count(left, right, on=("ip",),
-                                     keys=("l_v", "r_w"))) == dict(expected)
-
-    def test_packing_applies_to_int_pair_keys(self):
-        left = Table.from_rows(("ip", "v"), [(1, -7), (1, 4), (2, 4)])
-        right = Table.from_rows(("ip", "w"), [(1, 5), (1, 0), (2, 3)])
-        plan = compile_join_plan(left, right, ("ip",), ("l_v", "r_w"))
-        assert packing_base(plan, left.columns, right.columns) == 6
-        expected = group_count(hash_join(left, right, on=("ip",)), ("l_v", "r_w"))
-        got = join_group_count(left, right, on=("ip",), keys=("l_v", "r_w"))
-        assert dict(got) == dict(expected)
+def _join_payload():
+    hosts, values, labels = [], [], []
+    for g in range(len(MEMBER_STARTS) - 1):
+        for m in range(MEMBER_STARTS[g], MEMBER_STARTS[g + 1]):
+            for v in range(VALUE_STARTS[m], VALUE_STARTS[m + 1]):
+                hosts.append(g)
+                values.append(VALUE_IDS[v])
+                labels.append(LABELS[m])
+    index = [LABELS[MEMBER_STARTS[g]:MEMBER_STARTS[g + 1]]
+             for g in range(len(MEMBER_STARTS) - 1)]
+    return hosts, values, labels, index, PACK_BASE
 
 
-rows_strategy = st.lists(
-    st.tuples(st.integers(0, 6), st.integers(1, 5),
-              st.sampled_from(["http", "ssh", "rtsp"])),
-    max_size=60,
-)
-right_rows_strategy = st.lists(
-    st.tuples(st.integers(0, 6), st.integers(1, 5)), max_size=60,
-)
+class TestModelFolds:
+    def test_join_counts_other_ports_of_the_same_host(self):
+        counts = count_join_chunk(_join_payload())
+        expected = Counter({
+            0 * PACK_BASE + 80: 1, 0 * PACK_BASE + 443: 1,
+            1 * PACK_BASE + 22: 1, 1 * PACK_BASE + 443: 1,
+            2 * PACK_BASE + 22: 1, 2 * PACK_BASE + 443: 1,
+            3 * PACK_BASE + 22: 1, 3 * PACK_BASE + 80: 1,
+        })
+        assert counts == expected
 
+    def test_empty_join(self):
+        assert count_join_chunk(([], [], [], [], PACK_BASE)) == Counter()
 
-class TestEquivalenceProperties:
-    @settings(deadline=None, max_examples=50)
-    @given(rows_strategy, right_rows_strategy,
-           st.sampled_from([None, ("b_port", "a_port")]),
-           st.sampled_from([("b_predictor", "a_port"), ("b_port",),
-                            ("a_port", "b_predictor"), ("ip", "a_port")]))
-    def test_fused_equals_materialized(self, left_rows, right_rows, excl, keys):
-        left = Table.from_rows(("ip", "port", "predictor"), left_rows)
-        right = Table.from_rows(("ip", "port"), right_rows)
-        expected = _reference(left, right, ("ip",), keys, excl)
-        got = join_group_count(left, right, on=("ip",), keys=keys,
-                               left_prefix="b_", right_prefix="a_",
-                               exclude_self_pairs_on=excl)
-        assert dict(got) == dict(expected)
-
-    @settings(deadline=None, max_examples=25)
-    @given(rows_strategy, right_rows_strategy, st.integers(1, 6),
-           st.sampled_from(["serial", "thread"]))
-    def test_partitioned_fused_equals_materialized(self, left_rows, right_rows,
-                                                   workers, backend):
-        left = Table.from_rows(("ip", "port", "predictor"), left_rows)
-        right = Table.from_rows(("ip", "port"), right_rows)
-        expected = _reference(left, right, ("ip",), ("b_predictor", "a_port"),
-                              ("b_port", "a_port"))
-        config = ExecutorConfig(backend=backend, workers=workers)
-        got = partitioned_join_group_count(
-            left, right, on=("ip",), keys=("b_predictor", "a_port"), config=config,
-            left_prefix="b_", right_prefix="a_",
-            exclude_self_pairs_on=("b_port", "a_port"))
-        assert dict(got) == dict(expected)
-
-    def test_partitioned_fused_process_backend(self):
-        # Process pools are too slow to spin up per hypothesis example; one
-        # representative fixed case checks the encoded-column path end to end.
-        left_rows = [(ip % 5, 1 + ip % 4, ("P", ip % 3, "s%d" % (ip % 2)))
-                     for ip in range(60)]
-        right_rows = [(ip % 5, 1 + ip % 6) for ip in range(40)]
-        left = Table.from_rows(("ip", "port", "predictor"), left_rows)
-        right = Table.from_rows(("ip", "port"), right_rows)
-        expected = _reference(left, right, ("ip",), ("b_predictor", "a_port"),
-                              ("b_port", "a_port"))
-        config = ExecutorConfig(backend="process", workers=2)
-        got = partitioned_join_group_count(
-            left, right, on=("ip",), keys=("b_predictor", "a_port"), config=config,
-            left_prefix="b_", right_prefix="a_",
-            exclude_self_pairs_on=("b_port", "a_port"))
-        assert dict(got) == dict(expected)
+    @pytest.mark.skipif(not numpy_available(),
+                        reason="numpy column backend not installed")
+    def test_array_kernels_match_the_join_fold(self):
+        keys, counts = fold_model_pairs_arrays(
+            IntColumn(MEMBER_STARTS), IntColumn(LABELS),
+            IntColumn(VALUE_STARTS), IntColumn(VALUE_IDS), PACK_BASE)
+        assert dict(zip(keys, counts)) == count_join_chunk(_join_payload())
+        ids, id_counts = fold_value_counts_arrays(IntColumn(VALUE_IDS))
+        assert dict(zip(ids, id_counts)) == Counter(VALUE_IDS)

@@ -4,8 +4,7 @@ Covers the explicit pool lifecycle (reuse across consecutive plan
 executions, idempotent close, worker crash surfacing a clean error, spawn
 start method), the stable-hash sharding invariants, and bit-identical
 results -- model, priors plan and prediction index -- across the serial,
-thread and pool executors on both the stateless-dispatch and
-resident-dataset paths.
+thread and pool executors on the resident-dataset path.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from collections import Counter
 import pytest
 
 from repro.core.config import FeatureConfig, GPSConfig
-from repro.core.features import extract_host_features
+from repro.core.features import extract_host_features, extract_host_features_columns
 from repro.core.gps import GPS
 from repro.core.model import build_model, build_model_with_engine
 from repro.core.predictions import (
@@ -26,7 +25,6 @@ from repro.core.predictions import (
 from repro.core.priors import build_priors_plan, build_priors_plan_with_engine
 from repro.core.runtime_plans import ResidentHostGroups
 from repro.engine.faults import FaultPlan
-from repro.engine.parallel import ExecutorConfig, partitioned_group_count
 from repro.engine.runtime import (
     RUNTIME_EXECUTORS,
     EngineRuntime,
@@ -44,7 +42,6 @@ from repro.engine.shard import (
     shard_columns,
     shard_group_columns,
 )
-from repro.engine.table import Table
 from repro.scanner.pipeline import ScanPipeline
 
 BACKENDS = tuple(RUNTIME_EXECUTORS)
@@ -52,13 +49,16 @@ BACKENDS = tuple(RUNTIME_EXECUTORS)
 
 @pytest.fixture(scope="module")
 def seed_inputs(universe, censys_split):
-    """Host features + oracle model/priors/index for the equivalence tests."""
+    """Seed columns + oracle model/priors/index for the equivalence tests."""
+    asn_db = universe.topology.asn_db
     host_features = extract_host_features(censys_split.seed_observations,
-                                          universe.topology.asn_db, FeatureConfig())
+                                          asn_db, FeatureConfig())
+    columns = extract_host_features_columns(
+        censys_split.seed_scan_result().batch, asn_db, FeatureConfig())
     model = build_model(host_features)
     priors = build_priors_plan(host_features, model, 16)
     index = PredictiveFeatureIndex.from_seed(host_features, model)
-    return host_features, model, priors, index
+    return columns, model, priors, index
 
 
 class TestRuntimeConstruction:
@@ -244,21 +244,19 @@ class TestSelfHealing:
         bit-identical to the serial oracles, and only the dead worker's
         shards are re-loaded (the survivor keeps its process and shards)."""
         monkeypatch.setenv("REPRO_RUNTIME_CRASH_TEST", "1")
-        host_features, model, priors, index = seed_inputs
+        columns, model, priors, index = seed_inputs
         plan = FaultPlan(crash_task="model_pairs", crash_workers=(1,))
         with EngineRuntime(executor="pool", num_workers=2, shard_count=5,
                            fault_plan=plan) as runtime:
-            dataset = ResidentHostGroups(runtime, host_features, 16)
+            dataset = ResidentHostGroups(runtime, columns, 16)
             before = [pid for pid, _ in runtime.execute("_probe", dataset.key)]
             placement = runtime._backend._placements[dataset.key]
-            built = build_model_with_engine(host_features, dataset=dataset)
+            built = build_model_with_engine(dataset)
             assert built.denominators == model.denominators
             assert {k: v for k, v in built.cooccurrence.items() if v} == \
                 {k: v for k, v in model.cooccurrence.items() if v}
-            assert build_priors_plan_with_engine(host_features, built, 16,
-                                                 dataset=dataset) == priors
-            rebuilt = build_prediction_index_with_engine(host_features, built,
-                                                         dataset=dataset)
+            assert build_priors_plan_with_engine(dataset, built, 16) == priors
+            rebuilt = build_prediction_index_with_engine(dataset, built)
             assert rebuilt.entries() == index.entries()
             stats = dataset.recovery_stats
             assert stats.crashes_detected == 1 and stats.respawns == 1
@@ -479,76 +477,39 @@ class TestLptPlacement:
     def test_skewed_resident_results_unchanged(self, seed_inputs):
         """Skewed shard counts (placement != shard % workers) stay
         bit-identical to the serial oracles."""
-        host_features, model, priors, index = seed_inputs
+        columns, model, priors, index = seed_inputs
         with EngineRuntime(executor="pool", num_workers=2,
                            shard_count=5) as runtime:
-            dataset = ResidentHostGroups(runtime, host_features, 16)
-            built = build_model_with_engine(host_features, dataset=dataset)
+            dataset = ResidentHostGroups(runtime, columns, 16)
+            built = build_model_with_engine(dataset)
             assert built.denominators == model.denominators
-            assert build_priors_plan_with_engine(host_features, built, 16,
-                                                 dataset=dataset) == priors
-            rebuilt = build_prediction_index_with_engine(host_features, built,
-                                                         dataset=dataset)
+            assert build_priors_plan_with_engine(dataset, built, 16) == priors
+            rebuilt = build_prediction_index_with_engine(dataset, built)
             assert rebuilt.entries() == index.entries()
             dataset.release()
-
-
-class TestStatelessRuntimeDispatch:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_partitioned_group_count_matches(self, backend):
-        table = Table.from_rows(("a", "b"), [(i % 5, i % 3) for i in range(120)])
-        expected = partitioned_group_count(table, ("a", "b"), ExecutorConfig())
-        with EngineRuntime(executor=backend, num_workers=2) as runtime:
-            assert partitioned_group_count(table, ("a", "b"),
-                                           runtime=runtime) == expected
-
-    def test_config_and_runtime_are_exclusive(self):
-        table = Table.from_rows(("a",), [(1,)])
-        with pytest.raises(ValueError):
-            partitioned_group_count(table, ("a",))
-        with EngineRuntime() as runtime:
-            with pytest.raises(ValueError):
-                partitioned_group_count(table, ("a",), ExecutorConfig(),
-                                        runtime=runtime)
 
 
 class TestRuntimeEquivalence:
     """All three engine builds, bit-identical on every backend and path."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_stateless_paths_match_oracles(self, seed_inputs, backend):
-        host_features, model, priors, index = seed_inputs
-        with EngineRuntime(executor=backend, num_workers=2) as runtime:
-            built = build_model_with_engine(host_features, runtime=runtime)
-            assert built.denominators == model.denominators
-            assert {k: v for k, v in built.cooccurrence.items() if v} == \
-                {k: v for k, v in model.cooccurrence.items() if v}
-            assert build_priors_plan_with_engine(host_features, model, 16,
-                                                 runtime=runtime) == priors
-            rebuilt = build_prediction_index_with_engine(host_features, model,
-                                                         runtime=runtime)
-            assert rebuilt.entries() == index.entries()
-
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("shard_count", [1, 3])
     def test_resident_dataset_matches_oracles(self, seed_inputs, backend,
                                               shard_count):
-        host_features, model, priors, index = seed_inputs
+        columns, model, priors, index = seed_inputs
         with EngineRuntime(executor=backend, num_workers=2,
                            shard_count=shard_count) as runtime:
-            dataset = ResidentHostGroups(runtime, host_features, 16)
-            built = build_model_with_engine(host_features, dataset=dataset)
+            dataset = ResidentHostGroups(runtime, columns, 16)
+            built = build_model_with_engine(dataset)
             assert built.denominators == model.denominators
             assert {k: v for k, v in built.cooccurrence.items() if v} == \
                 {k: v for k, v in model.cooccurrence.items() if v}
-            assert build_priors_plan_with_engine(host_features, built, 16,
-                                                 dataset=dataset) == priors
-            rebuilt = build_prediction_index_with_engine(host_features, built,
-                                                         dataset=dataset)
+            assert build_priors_plan_with_engine(dataset, built, 16) == priors
+            rebuilt = build_prediction_index_with_engine(dataset, built)
             assert rebuilt.entries() == index.entries()
             # Consecutive builds reuse the resident shards (the pool path
             # additionally reuses the worker-side derived join payload).
-            again = build_model_with_engine(host_features, dataset=dataset)
+            again = build_model_with_engine(dataset)
             assert again.denominators == built.denominators
             dataset.release()
             dataset.release()  # idempotent
@@ -556,25 +517,13 @@ class TestRuntimeEquivalence:
                 dataset.model_counts()
 
     def test_resident_dataset_step_size_is_checked(self, seed_inputs):
-        host_features, model, _, _ = seed_inputs
+        columns, model, _, _ = seed_inputs
         with EngineRuntime() as runtime:
-            dataset = ResidentHostGroups(runtime, host_features, 16)
+            dataset = ResidentHostGroups(runtime, columns, 16)
             with pytest.raises(ValueError):
-                build_priors_plan_with_engine(host_features, model, 20,
-                                              dataset=dataset)
-
-    def test_runtime_rejects_legacy_mode(self, seed_inputs):
-        host_features, model, _, _ = seed_inputs
-        with EngineRuntime() as runtime:
+                build_priors_plan_with_engine(dataset, model, 20)
             with pytest.raises(ValueError):
-                build_model_with_engine(host_features, mode="legacy",
-                                        runtime=runtime)
-            with pytest.raises(ValueError):
-                build_priors_plan_with_engine(host_features, model, 16,
-                                              mode="legacy", runtime=runtime)
-            with pytest.raises(ValueError):
-                build_prediction_index_with_engine(host_features, model,
-                                                   mode="legacy", runtime=runtime)
+                ResidentHostGroups(runtime, columns, 33)
 
 
 class TestGPSRuntimeIntegration:
@@ -592,8 +541,6 @@ class TestGPSRuntimeIntegration:
         """A runtime executor that would silently do nothing must not validate."""
         with pytest.raises(ValueError, match="use_engine"):
             GPSConfig(executor="pool")
-        with pytest.raises(ValueError, match="fused"):
-            GPSConfig(use_engine=True, engine_mode="legacy", executor="pool")
         assert GPSConfig(use_engine=True, executor="pool").executor == "pool"
 
     def test_config_validates_supervision_knobs(self):
@@ -624,22 +571,21 @@ class TestGPSRuntimeIntegration:
                                                   censys_dataset, censys_split,
                                                   monkeypatch):
         """A FaultPlan killing one worker mid-model-build leaves the whole
-        GPS run bit-identical to the per-call engine reference."""
+        GPS run bit-identical to the dict reference."""
         monkeypatch.setenv("REPRO_RUNTIME_CRASH_TEST", "1")
 
         def run(**extra):
             pipeline = ScanPipeline(universe)
             config = GPSConfig(seed_fraction=0.05, step_size=16,
-                               port_domain=censys_dataset.port_domain,
-                               use_engine=True, **extra)
+                               port_domain=censys_dataset.port_domain, **extra)
             with GPS(pipeline, config) as gps:
                 return gps.run(seed=censys_split.seed_scan_result(),
                                seed_cost_probes=0)
 
         reference = run()
         plan = FaultPlan(crash_task="model_pairs", crash_workers=(1,))
-        chaotic = run(executor="pool", num_workers=2, shard_count=3,
-                      fault_plan=plan)
+        chaotic = run(use_engine=True, executor="pool", num_workers=2,
+                      shard_count=3, fault_plan=plan)
         assert chaotic.priors_plan == reference.priors_plan
         assert [p.pair() for p in chaotic.predictions] == \
             [p.pair() for p in reference.predictions]
@@ -660,6 +606,7 @@ class TestGPSRuntimeIntegration:
             assert second.map_stateless("count_rows", [[1]]) == [Counter({1: 1})]
 
     def test_no_runtime_for_per_call_executors(self, universe):
+        """The dict reference runs without any runtime."""
         gps = GPS(ScanPipeline(universe), GPSConfig())
         assert gps.runtime() is None
         gps.close()  # safe no-op
@@ -672,8 +619,8 @@ class TestGPSRuntimeIntegration:
             assert gps.runtime() is runtime
         assert runtime.closed
 
-    def test_end_to_end_run_matches_per_call_engine(self, universe,
-                                                    censys_dataset, censys_split):
+    def test_end_to_end_run_matches_reference(self, universe,
+                                              censys_dataset, censys_split):
         def run(config):
             pipeline = ScanPipeline(universe)
             with GPS(pipeline, config) as gps:
@@ -681,8 +628,7 @@ class TestGPSRuntimeIntegration:
                                seed_cost_probes=0)
 
         reference = run(GPSConfig(seed_fraction=0.05, step_size=16,
-                                  port_domain=censys_dataset.port_domain,
-                                  use_engine=True))
+                                  port_domain=censys_dataset.port_domain))
         pooled = run(GPSConfig(seed_fraction=0.05, step_size=16,
                                port_domain=censys_dataset.port_domain,
                                use_engine=True, executor="pool",

@@ -339,20 +339,22 @@ class TestColumnarFilter:
 
 
 class TestGPSEngineModes:
-    """GPS end-to-end equivalence across engine modes (the acceptance check)."""
+    """GPS end-to-end equivalence of the engine ("fused") and the dict
+    reference ("legacy") paths (the acceptance check)."""
 
     @pytest.fixture(scope="class")
     def mode_runs(self, universe, censys_dataset, censys_split):
         results = {}
-        for mode in ("fused", "legacy"):
+        for mode, use_engine in (("fused", True), ("legacy", False)):
             run_pipeline = ScanPipeline(universe)
             config = GPSConfig(seed_fraction=0.05, step_size=16,
                                port_domain=censys_dataset.port_domain,
-                               use_engine=True, engine_mode=mode)
-            gps = GPS(run_pipeline, config)
+                               use_engine=use_engine)
             seed_cost = seed_scan_cost_probes(censys_dataset, 0.05)
-            results[mode] = (gps.run(seed=censys_split.seed_scan_result(),
-                                     seed_cost_probes=seed_cost), run_pipeline)
+            with GPS(run_pipeline, config) as gps:
+                results[mode] = (gps.run(seed=censys_split.seed_scan_result(),
+                                         seed_cost_probes=seed_cost),
+                                 run_pipeline)
         return results
 
     def test_priors_plans_identical(self, mode_runs):

@@ -42,7 +42,18 @@ from repro.engine.snapshot import (
 from repro.scanner.records import ObservationBatch, ScanObservation
 from repro.serving.registry import PreparedModel
 
+from engine_helpers import resident_groups
+
 BACKENDS = ("stdlib", "numpy")
+
+
+def _build_artifacts(host_features):
+    """The three Table 2 artifacts built on a serial runtime."""
+    with resident_groups(host_features) as dataset:
+        model = build_model_with_engine(dataset)
+        priors = build_priors_plan_with_engine(dataset, model, 16)
+        index = build_prediction_index_with_engine(dataset, model)
+    return model, priors, index
 
 protocols = st.sampled_from(["http", "ssh", "tls", "ftp", "unknown"])
 banner_features = st.dictionaries(
@@ -63,16 +74,11 @@ observations_strategy = st.lists(
 
 @pytest.fixture(scope="module")
 def artifacts(universe, censys_split):
-    """Columnar host features + fused-built Table 2 artifacts (the oracle)."""
+    """Columnar host features + engine-built Table 2 artifacts (the oracle)."""
     batch = ObservationBatch.from_observations(censys_split.seed_observations)
     host_features = extract_host_features_columns(
         batch, universe.topology.asn_db, FeatureConfig())
-    model = build_model_with_engine(host_features, mode="fused")
-    priors = build_priors_plan_with_engine(host_features, model, 16,
-                                           mode="fused")
-    index = build_prediction_index_with_engine(host_features, model,
-                                               mode="fused")
-    return batch, host_features, model, priors, index
+    return (batch, host_features) + _build_artifacts(host_features)
 
 
 @pytest.fixture(scope="module")
@@ -150,13 +156,11 @@ class TestRoundTrip:
         with EngineRuntime(executor=executor, num_workers=2,
                            shard_count=3) as runtime:
             dataset = ResidentHostGroups(runtime, host_features, 16)
-            built_model = build_model_with_engine(
-                host_features, mode="fused", dataset=dataset,
-                column_backend=backend)
+            built_model = build_model_with_engine(dataset, backend)
             built_priors = build_priors_plan_with_engine(
-                host_features, built_model, 16, mode="fused", dataset=dataset)
+                dataset, built_model, 16)
             built_index = build_prediction_index_with_engine(
-                host_features, built_model, mode="fused", dataset=dataset)
+                dataset, built_model)
             dataset.release()
         directory = str(tmp_path / f"{executor}-{backend}")
         save_snapshot(directory, host_features=host_features,
@@ -177,11 +181,7 @@ class TestRoundTrip:
         batch = ObservationBatch.from_observations(rows)
         host_features = extract_host_features_columns(
             batch, universe.topology.asn_db, FeatureConfig())
-        model = build_model_with_engine(host_features, mode="fused")
-        priors = build_priors_plan_with_engine(host_features, model, 16,
-                                               mode="fused")
-        index = build_prediction_index_with_engine(host_features, model,
-                                                   mode="fused")
+        model, priors, index = _build_artifacts(host_features)
         with tempfile.TemporaryDirectory() as directory:
             save_snapshot(directory, observations=batch,
                           host_features=host_features, model=model,
@@ -268,8 +268,7 @@ class TestRuntimeShardLoading:
             snapshot = open_snapshot(saved)
             dataset = ResidentHostGroups.from_snapshot(runtime, snapshot)
             assert runtime.recovery_stats.shard_bytes_queued == 0
-            built = build_model_with_engine(host_features, mode="fused",
-                                            dataset=dataset)
+            built = build_model_with_engine(dataset)
             assert built.cooccurrence == model.cooccurrence
             assert built.denominators == model.denominators
             dataset.release()
@@ -302,8 +301,7 @@ class TestRuntimeShardLoading:
             assert stats.crashes_detected == 1 and stats.respawns == 1
             assert stats.reloaded_shards >= 1
             assert stats.shard_bytes_queued == 0
-            built = build_model_with_engine(host_features, mode="fused",
-                                            dataset=dataset)
+            built = build_model_with_engine(dataset)
             assert built.cooccurrence == model.cooccurrence
             assert built.denominators == model.denominators
             assert not runtime.broken
@@ -325,15 +323,12 @@ class TestRuntimeShardLoading:
             assert stats.migrated_shards > 0
             assert stats.shard_bytes_queued == 0
             assert runtime.num_workers == 1
-            built = build_model_with_engine(host_features, mode="fused",
-                                            dataset=dataset)
+            built = build_model_with_engine(dataset)
             assert built.cooccurrence == model.cooccurrence
             assert built.denominators == model.denominators
-            built_priors = build_priors_plan_with_engine(
-                host_features, built, 16, mode="fused", dataset=dataset)
+            built_priors = build_priors_plan_with_engine(dataset, built, 16)
             assert built_priors == priors
-            built_index = build_prediction_index_with_engine(
-                host_features, built, mode="fused", dataset=dataset)
+            built_index = build_prediction_index_with_engine(dataset, built)
             assert built_index.entries() == index.entries()
             dataset.release()
 
