@@ -113,8 +113,11 @@ class TestEngineEquivalence:
                                   _resident_model(hosts, column_backend))
 
     @pytest.mark.parametrize("column_backend", BACKENDS)
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_engine_matches_reference_with_parallel_workers(self, executor,
+    @pytest.mark.parametrize("config", [
+        dict(executor="serial", num_workers=1, shard_count=4),
+        dict(executor="thread", num_workers=4, shard_count=4),
+    ])
+    def test_engine_matches_reference_with_parallel_workers(self, config,
                                                             column_backend):
         observations = [
             _obs(ip, port)
@@ -122,9 +125,7 @@ class TestEngineEquivalence:
             for port in ((80, 443) if ip % 2 else (22, 80, 8080))
         ]
         hosts = _hosts(observations)
-        parallel = _resident_model(hosts, column_backend, executor=executor,
-                                 num_workers=4 if executor == "thread" else 1,
-                                 shard_count=4)
+        parallel = _resident_model(hosts, column_backend, **config)
         self._assert_models_equal(build_model(hosts), parallel)
 
     @pytest.mark.parametrize("column_backend", BACKENDS)

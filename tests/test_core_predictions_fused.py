@@ -212,6 +212,20 @@ class TestArgmaxTieBreaks:
         fused, _ = self._both(hosts, model, min_pattern_support=1)
         assert len(fused) == 0
 
+    def test_single_service_hosts_compile_to_no_groups(self):
+        # The resident argmax fold skips hosts with fewer than two
+        # services before selecting: no shard reports a group at all.
+        hosts = {ip: _host(ip, {80: [("P", 80)]}) for ip in range(1, 6)}
+        model = _model({("P", 80): 5}, {})
+        with resident_groups(hosts, shard_count=3) as dataset:
+            dataset.ensure_sides(model)
+            args = (None, 1, 0.0)
+            per_shard = dataset.runtime.execute(
+                "index_argmax", dataset.key, [args] * dataset.runtime.shard_count)
+            assert per_shard == [[], [], []]
+            assert dataset.argmax_winners(model, min_pattern_support=1,
+                                          probability_cutoff=0.0) == []
+
     def test_unknown_predictors_score_nothing(self):
         # A model trained elsewhere: the host's predictors are unknown to
         # it, so no pattern qualifies on either path.

@@ -10,6 +10,8 @@ the runtime executors and shard counts.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,10 +19,12 @@ from repro.core.config import FeatureConfig
 from repro.core.features import HostFeatures, extract_host_features
 from repro.core.model import CooccurrenceModel, build_model
 from repro.core.priors import build_priors_plan, build_priors_plan_with_engine
-from repro.net.ipv4 import parse_ip
+from repro.engine.columns import IntColumn
+from repro.engine.shard import shard_group_columns
+from repro.net.ipv4 import parse_ip, subnet_key
 from repro.scanner.records import ScanObservation
 
-from engine_helpers import resident_groups
+from engine_helpers import host_feature_columns, resident_groups
 
 
 def _obs(ip: int, port: int, protocol: str = "http", **features) -> ScanObservation:
@@ -106,6 +110,21 @@ class TestFusedPriorsEquivalence:
 
 
 class TestCompiledPlan:
+    def test_plan_is_picklable_plain_data(self, camera_fleet):
+        # The pool runtime ships each resident shard to its worker pickled:
+        # the payload is plain int columns and survives the round trip.
+        _, hosts = _model_and_hosts(camera_fleet)
+        columns = host_feature_columns(hosts)
+        sharded = shard_group_columns(
+            columns.ips, [subnet_key(ip, 16) for ip in columns.ips],
+            columns.member_starts, columns.ports, columns.value_starts,
+            columns.value_ids, 3)
+        clone = pickle.loads(pickle.dumps(sharded.shards))
+        assert clone == sharded.shards
+        for shard in clone:
+            assert all(isinstance(column, IntColumn) for column in shard.values())
+        assert sum(len(shard["group_order"]) for shard in clone) == len(hosts)
+
     def test_chunked_execution_is_chunking_invariant(self, camera_fleet):
         model, hosts = _model_and_hosts(camera_fleet)
         expected = build_priors_plan(hosts, model, 16)

@@ -23,7 +23,7 @@ from repro.engine.fused import (
     fold_model_pairs_arrays,
     fold_value_counts_arrays,
 )
-from repro.engine.shard import shard_assignments
+from repro.engine.shard import shard_assignments, shard_columns
 
 
 class TestDictionaryEncoder:
@@ -94,6 +94,19 @@ class TestStableHash:
         assert stable_hash((1, "x")) == stable_hash((True, "x")) == \
             stable_hash((1.0, "x"))
         assert len(set(shard_assignments([(1,), (True,), (1.0,)], 4))) == 1
+
+    def test_partition_rows_still_covers_and_groups(self):
+        keys = [(i % 7, "s%d" % (i % 3)) for i in range(100)]
+        sharded = shard_columns({"key": keys, "row": list(range(100))},
+                                "key", 4)
+        rows = [row for shard in sharded.shards for row in shard["row"]]
+        assert sorted(rows) == list(range(100))
+        # Same key always lands in the same shard.
+        location = {}
+        for shard_id, shard in enumerate(sharded.shards):
+            assert len(shard["key"]) == len(shard["row"])
+            for key in shard["key"]:
+                assert location.setdefault(key, shard_id) == shard_id
 
 
 #: Two hosts' group-structured columns: host 0 has ports 22, 80 and 443
