@@ -1,14 +1,13 @@
-"""Columnar observation batches vs the per-object batched scan path.
+"""Columnar observation batches vs the per-object scan path.
 
-PR 2's batched layers amortized ledger charges and host lookups but still
-allocated one ``FingerprintResult`` / ``ScanObservation`` per hit and copied
-every banner dict -- the cost that kept the whole-pipeline speedup at ~1.1x
-while the ZMap layer alone ran ~2x.  This benchmark isolates what the
-columnar rework buys on the same predictions workload:
+The per-object layers allocate one ``FingerprintResult`` /
+``ScanObservation`` per hit, copy every banner dict and charge the ledger
+once per target.  This benchmark isolates what the columnar layers buy on
+the same predictions workload:
 
-* the **per-object batched pipeline** (the retired hot loop, kept as the
-  oracle): ``zmap.scan_pair_batches`` -> ``lzr.fingerprint_batch`` ->
-  ``zgrab.grab_batch`` -> ``pseudo_filter.filter``;
+* the **per-object pipeline** (the equivalence oracle):
+  ``zmap.scan_pair_batches`` -> ``lzr.fingerprint_many`` ->
+  ``zgrab.grab_many`` -> ``pseudo_filter.filter``;
 * the **columnar pipeline**: ``scan_pair_batches`` folding hits into
   :class:`~repro.scanner.records.ObservationBatch` columns (interned banner
   ids, encoded protocol statuses), filtering on the columns and
@@ -85,13 +84,13 @@ def _prediction_workload(universe, dataset):
     return pairs, group_pairs(pairs, 16)
 
 
-def _object_batched_scan(universe, batches):
-    """The per-object batched pipeline (the loop the columnar path retires)."""
+def _object_scan(universe, batches):
+    """The per-object pipeline: per-target fingerprint, grab and filter."""
     pipeline = ScanPipeline(universe)
     category = ScanCategory.PREDICTION
     hits = pipeline.zmap.scan_pair_batches(batches, category=category)
-    fingerprints = pipeline.lzr.fingerprint_batch(hits, category=category)
-    observations = pipeline.zgrab.grab_batch(fingerprints, category=category)
+    fingerprints = pipeline.lzr.fingerprint_many(hits, category=category)
+    observations = pipeline.zgrab.grab_many(fingerprints, category=category)
     return pipeline, pipeline.pseudo_filter.filter(observations)
 
 
@@ -100,7 +99,7 @@ def run_columnar_scan_benchmark(universe, dataset):
 
     # Equivalence: per-object and columnar paths observe the same services
     # and charge the same bandwidth (never relaxed).
-    object_pipeline, object_obs = _object_batched_scan(universe, batches)
+    object_pipeline, object_obs = _object_scan(universe, batches)
     columnar_pipeline = ScanPipeline(universe)
     columnar_obs = columnar_pipeline.scan_pair_batches(batches)
     assert _observation_key(object_obs) == _observation_key(columnar_obs), \
@@ -109,7 +108,7 @@ def run_columnar_scan_benchmark(universe, dataset):
     assert object_pipeline.ledger.responses == columnar_pipeline.ledger.responses
 
     # End-to-end timings.
-    object_seconds = _best_seconds(lambda: _object_batched_scan(universe, batches))
+    object_seconds = _best_seconds(lambda: _object_scan(universe, batches))
     columnar_seconds = _best_seconds(
         lambda: ScanPipeline(universe).scan_pair_batches(batches))
 
@@ -118,16 +117,16 @@ def run_columnar_scan_benchmark(universe, dataset):
     hits = stage.zmap.scan_pair_batches(batches)
     hit_ips = [ip for ip, _ in hits]
     hit_ports = [port for _, port in hits]
-    fingerprints = stage.lzr.fingerprint_batch(hits)
+    fingerprints = stage.lzr.fingerprint_many(hits)
     fingerprint_cols = stage.lzr.fingerprint_batch_columns(hit_ips, hit_ports)
     observation_batch = stage.zgrab.grab_batch_columns(fingerprint_cols)
     materialized = observation_batch.materialize()
     lzr_object_seconds = _best_seconds(
-        lambda: stage.lzr.fingerprint_batch(hits))
+        lambda: stage.lzr.fingerprint_many(hits))
     lzr_columnar_seconds = _best_seconds(
         lambda: stage.lzr.fingerprint_batch_columns(hit_ips, hit_ports))
     zgrab_object_seconds = _best_seconds(
-        lambda: stage.zgrab.grab_batch(fingerprints))
+        lambda: stage.zgrab.grab_many(fingerprints))
     zgrab_columnar_seconds = _best_seconds(
         lambda: stage.zgrab.grab_batch_columns(fingerprint_cols))
     filter_object_seconds = _best_seconds(

@@ -67,7 +67,7 @@ def network_feature_values(ip: int, asn_db: Optional[AsnDatabase],
     return values
 
 
-def _app_items(features, config: FeatureConfig) -> List[Tuple[str, str]]:
+def app_feature_items(features, config: FeatureConfig) -> List[Tuple[str, str]]:
     """The (key, value) application-feature pairs present on one service."""
     items: List[Tuple[str, str]] = []
     if config.include_app or config.include_app_network:
@@ -79,9 +79,9 @@ def _app_items(features, config: FeatureConfig) -> List[Tuple[str, str]]:
     return items
 
 
-def _predictor_tuples(port: int, app_items: Sequence[Tuple[str, str]],
-                      net_values: Sequence[Tuple[str, int]],
-                      config: FeatureConfig) -> List[PredictorTuple]:
+def assemble_predictor_tuples(port: int, app_items: Sequence[Tuple[str, str]],
+                              net_values: Sequence[Tuple[str, int]],
+                              config: FeatureConfig) -> List[PredictorTuple]:
     """Assemble predictor tuples from pre-extracted parts.
 
     Shared by the object and columnar extraction paths so the tuples (and
@@ -103,15 +103,34 @@ def _predictor_tuples(port: int, app_items: Sequence[Tuple[str, str]],
     return tuples
 
 
+def predictor_conditions(predictor: PredictorTuple,
+                         ) -> Tuple[int, Optional[Tuple[str, str]],
+                                    Optional[Tuple[str, int]]]:
+    """``(port, app item, network value)`` a predictor tuple conditions on.
+
+    The app item and network value are ``None`` for families without them:
+    the inverse of :func:`assemble_predictor_tuples`.
+    """
+    family = predictor[0]
+    app = predictor[2:4] if family in ("PA", "PAN") else None
+    if family == "PN":
+        net = predictor[2:4]
+    elif family == "PAN":
+        net = predictor[4:6]
+    else:
+        net = None
+    return predictor[1], app, net
+
+
 def predictor_tuples_for_observation(
     observation: ScanObservation,
     net_values: Sequence[Tuple[str, int]],
     config: FeatureConfig,
 ) -> List[PredictorTuple]:
     """All predictor tuples derivable from one observed service."""
-    return _predictor_tuples(observation.port,
-                             _app_items(observation.app_features, config),
-                             net_values, config)
+    return assemble_predictor_tuples(
+        observation.port, app_feature_items(observation.app_features, config),
+        net_values, config)
 
 
 @dataclass
@@ -289,11 +308,11 @@ def extract_host_features_columns(
                 app_items = (app_items_cache.get(banner_id)
                              if banner_id >= 0 else None)
                 if app_items is None:
-                    app_items = _app_items(batch.banner_features(row), config)
+                    app_items = app_feature_items(batch.banner_features(row), config)
                     if banner_id >= 0:
                         app_items_cache[banner_id] = app_items
                 ids = encode_column(
-                    _predictor_tuples(port, app_items, net_values, config))
+                    assemble_predictor_tuples(port, app_items, net_values, config))
                 if run_key is not None:
                     run_cache[run_key] = ids
             ports.append(port)

@@ -307,27 +307,7 @@ class GPS:
         result.predictions = predictions
         result.model_build_seconds += time.perf_counter() - build_start
 
-        with tel.span("prediction.scan") as span:
-            batches = 0
-            for start in range(0, len(predictions), config.prediction_batch_size):
-                if budget_probes is not None and ledger.total_probes() >= budget_probes:
-                    result.truncated_by_budget = True
-                    break
-                batch = predictions[start:start + config.prediction_batch_size]
-                # Probes within the slice are grouped by (subnetwork, port) so the
-                # pipeline's batched layers amortize lookups and ledger charges;
-                # the probability ordering still governs at slice granularity.
-                observations = self.pipeline.scan_pairs(
-                    (prediction.pair() for prediction in batch),
-                    category=ScanCategory.PREDICTION,
-                    batch_prefix_len=PREDICTION_BATCH_PREFIX_LEN,
-                )
-                result.prediction_observations.extend(observations)
-                self._log_batch(result, "prediction", ledger.total_probes(),
-                                [obs.pair() for obs in observations], discovered)
-                batches += 1
-            span.set("batches", batches)
-            span.set("observations", len(result.prediction_observations))
+        self._prediction_scan(result, predictions, budget_probes, discovered)
         return result
 
     def predict_for_known_hosts(
@@ -390,23 +370,44 @@ class GPS:
         if not scan:
             return result
 
-        budget_probes = self._budget_probes()
-        for start in range(0, len(predictions), config.prediction_batch_size):
-            if budget_probes is not None and ledger.total_probes() >= budget_probes:
-                result.truncated_by_budget = True
-                break
-            batch = predictions[start:start + config.prediction_batch_size]
-            observations = self.pipeline.scan_pairs(
-                (prediction.pair() for prediction in batch),
-                category=ScanCategory.PREDICTION,
-                batch_prefix_len=PREDICTION_BATCH_PREFIX_LEN,
-            )
-            result.prediction_observations.extend(observations)
-            self._log_batch(result, "prediction", ledger.total_probes(),
-                            [obs.pair() for obs in observations], discovered)
+        self._prediction_scan(result, predictions, self._budget_probes(),
+                              discovered)
         return result
 
     # -- helpers ------------------------------------------------------------------------
+
+    def _prediction_scan(self, result: GPSRunResult,
+                         predictions: Sequence[PredictedService],
+                         budget_probes: Optional[int],
+                         discovered: Set[Pair]) -> None:
+        """Probe the predictions list in order, slice by slice (Section 5.4).
+
+        Emits the ``prediction.scan`` span with its ``batches`` and
+        ``observations`` attributes; stops at the bandwidth budget.
+        """
+        ledger = self.pipeline.ledger
+        batch_size = self.config.prediction_batch_size
+        with self.telemetry.span("prediction.scan") as span:
+            batches = 0
+            for start in range(0, len(predictions), batch_size):
+                if budget_probes is not None and ledger.total_probes() >= budget_probes:
+                    result.truncated_by_budget = True
+                    break
+                batch = predictions[start:start + batch_size]
+                # Probes within the slice are grouped by (subnetwork, port) so the
+                # pipeline's batched layers amortize lookups and ledger charges;
+                # the probability ordering still governs at slice granularity.
+                observations = self.pipeline.scan_pairs(
+                    (prediction.pair() for prediction in batch),
+                    category=ScanCategory.PREDICTION,
+                    batch_prefix_len=PREDICTION_BATCH_PREFIX_LEN,
+                )
+                result.prediction_observations.extend(observations)
+                self._log_batch(result, "prediction", ledger.total_probes(),
+                                [obs.pair() for obs in observations], discovered)
+                batches += 1
+            span.set("batches", batches)
+            span.set("observations", len(result.prediction_observations))
 
     def _extract_features(self, seed: SeedScanResult):
         """Extract the seed's host features on the configured path.

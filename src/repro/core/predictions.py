@@ -27,8 +27,10 @@ from repro.core.config import FeatureConfig
 from repro.core.features import (
     HostFeatures,
     PredictorTuple,
+    app_feature_items,
+    assemble_predictor_tuples,
     network_feature_values,
-    predictor_tuples_for_observation,
+    predictor_conditions,
 )
 from repro.core.model import CooccurrenceModel
 from repro.core.runtime_plans import ResidentHostGroups
@@ -85,6 +87,17 @@ class PredictiveFeatureIndex:
             if existing is None or feature.probability > existing:
                 targets[feature.target_port] = feature.probability
         self._entry_count = sum(len(t) for t in self._by_predictor.values())
+        # Per conditioning port, the app items and network values some
+        # indexed predictor carries: predict derives only the tuples that
+        # can hit the index (see the run memo there).
+        self._app_vocab: Dict[int, Set[Tuple[str, str]]] = {}
+        self._net_vocab: Dict[int, Set[Tuple[str, int]]] = {}
+        for predictor in self._by_predictor:
+            port, app_item, net_value = predictor_conditions(predictor)
+            if app_item is not None:
+                self._app_vocab.setdefault(port, set()).add(app_item)
+            if net_value is not None:
+                self._net_vocab.setdefault(port, set()).add(net_value)
         # Bounded LRU memo for network_feature_values, shared across predict
         # calls; keyed per (asn_db, feature kinds) identity so an index
         # reused against a different universe never serves stale features.
@@ -92,7 +105,7 @@ class PredictiveFeatureIndex:
         # structural cache operation (lookup+refresh, insert+evict, rekey)
         # holds the lock: an unguarded get/move_to_end pair races with
         # another thread's eviction and dies with KeyError.
-        self._net_cache: "OrderedDict[int, List[Tuple[str, int]]]" = OrderedDict()
+        self._net_cache: "OrderedDict[int, Tuple[Tuple[str, int], ...]]" = OrderedDict()
         self._net_cache_db: Optional[AsnDatabase] = None
         self._net_cache_kinds: Optional[Tuple[str, ...]] = None
         self._net_cache_lock = threading.Lock()
@@ -174,7 +187,7 @@ class PredictiveFeatureIndex:
 
     def _net_values_cache(self, asn_db: Optional[AsnDatabase],
                           kinds: Tuple[str, ...],
-                          ) -> "OrderedDict[int, List[Tuple[str, int]]]":
+                          ) -> "OrderedDict[int, Tuple[Tuple[str, int], ...]]":
         """The bounded per-(asn_db, kinds) network-feature memo, reset on rekey.
 
         Callers must only touch the returned dict under
@@ -210,58 +223,95 @@ class PredictiveFeatureIndex:
         Returns:
             Deduplicated predictions ordered by probability (descending), the
             order in which GPS probes them.
+
+        An observation's candidate predictions depend only on its port, its
+        banner content and its host's network feature values, and many
+        observations share all three (co-located hosts serving the same
+        banner).  Each call therefore keeps two memos:
+
+        * ``ip -> network feature values``, backed by the index's bounded
+          cross-call LRU (one lock round per distinct address, not per
+          observation);
+        * a *run* memo keyed on ``(port, banner items, network values)``:
+          the predictor tuples joined against the index once, as
+          ``(target port, probability, predictor)`` triples in derivation
+          order with the observation's own port already dropped.  Only
+          tuples whose app item and network value some indexed predictor
+          carries are derived at all; the rest could never hit.
+
+        Each observation then only walks its run: skip known pairs, keep the
+        strictly better probability (so on a tie the first candidate still
+        wins).  The memo keys on content, never on object identity, so
+        object rows from any caller share runs exactly as columnar rows do;
+        both memos die with the call, so ``known_pairs`` and ``asn_db``
+        never leak between calls.
         """
         known = known_pairs or set()
-        best: Dict[Tuple[int, int], PredictedService] = {}
-        # Network-layer features depend only on the address, and hosts with
-        # several discovered services appear once per service; memoize per IP
-        # so the ASN lookup and subnet derivations run once per host.  The
-        # memo lives on the index and persists across GPS rounds, but is
-        # bounded (NET_FEATURE_CACHE_MAX, LRU eviction: a hit refreshes the
-        # entry, the stalest entry goes first) so long-running multi-round
-        # deployments cannot grow it without limit while hot hosts stay
-        # memoized, and it is keyed per (asn_db, kinds) so reuse against
-        # another universe resets it.  The serving layer calls predict from
-        # many threads against one shared index, so the lookup+refresh and
-        # evict+insert pairs each run atomically under the cache lock; the
-        # feature derivation itself runs outside it (a concurrent duplicate
-        # derivation wastes a little work but last-write-wins on identical
-        # values, so nothing is lost or duplicated).
-        net_cache = self._net_values_cache(
-            asn_db, feature_config.network_feature_kinds)
+        # The index's LRU (NET_FEATURE_CACHE_MAX, a hit refreshes the entry,
+        # the stalest entry goes first; keyed per (asn_db, kinds) so reuse
+        # against another universe resets it) is shared by the serving
+        # layer's threads, so the lookup+refresh and evict+insert pairs each
+        # run atomically under the cache lock; the feature derivation itself
+        # runs outside it (a concurrent duplicate derivation wastes a little
+        # work but last-write-wins on identical values).
+        kinds = feature_config.network_feature_kinds
+        net_cache = self._net_values_cache(asn_db, kinds)
         net_cache_lock = self._net_cache_lock
         limit = NET_FEATURE_CACHE_MAX
+        by_predictor_get = self._by_predictor.get
+        app_vocab_get = self._app_vocab.get
+        net_vocab_get = self._net_vocab.get
+        no_vocab = frozenset()
+        net_keys: Dict[int, Tuple[Tuple[str, int], ...]] = {}
+        runs: Dict[Tuple, List[Tuple[int, float, PredictorTuple]]] = {}
+        best: Dict[Tuple[int, int], Tuple[float, PredictorTuple]] = {}
         for observation in observations:
-            with net_cache_lock:
-                net_values = net_cache.get(observation.ip)
-                if net_values is not None:
-                    net_cache.move_to_end(observation.ip)
+            ip = observation.ip
+            net_values = net_keys.get(ip)
             if net_values is None:
-                net_values = network_feature_values(
-                    observation.ip, asn_db, feature_config.network_feature_kinds)
                 with net_cache_lock:
-                    while len(net_cache) >= limit:
-                        net_cache.popitem(last=False)
-                    net_cache[observation.ip] = net_values
-            predictors = predictor_tuples_for_observation(observation, net_values,
-                                                          feature_config)
-            for predictor in predictors:
-                targets = self._by_predictor.get(predictor)
-                if not targets:
+                    net_values = net_cache.get(ip)
+                    if net_values is not None:
+                        net_cache.move_to_end(ip)
+                if net_values is None:
+                    net_values = tuple(network_feature_values(ip, asn_db, kinds))
+                    with net_cache_lock:
+                        while len(net_cache) >= limit:
+                            net_cache.popitem(last=False)
+                        net_cache[ip] = net_values
+                net_keys[ip] = net_values
+            port = observation.port
+            run_key = (port, tuple(observation.app_features.items()), net_values)
+            run = runs.get(run_key)
+            if run is None:
+                app_vocab = app_vocab_get(port, no_vocab)
+                net_vocab = net_vocab_get(port, no_vocab)
+                predictors = assemble_predictor_tuples(
+                    port,
+                    [item for item in app_feature_items(
+                        observation.app_features, feature_config)
+                     if item in app_vocab],
+                    [value for value in net_values if value in net_vocab],
+                    feature_config)
+                run = runs[run_key] = [
+                    (target_port, probability, predictor)
+                    for predictor in predictors
+                    for target_port, probability in (
+                        by_predictor_get(predictor) or {}).items()
+                    if target_port != port
+                ]
+            for target_port, probability, predictor in run:
+                pair = (ip, target_port)
+                if pair in known:
                     continue
-                for target_port, probability in targets.items():
-                    pair = (observation.ip, target_port)
-                    if target_port == observation.port or pair in known:
-                        continue
-                    current = best.get(pair)
-                    if current is None or probability > current.probability:
-                        best[pair] = PredictedService(ip=observation.ip,
-                                                      port=target_port,
-                                                      probability=probability,
-                                                      predictor=predictor)
-        predictions = list(best.values())
-        predictions.sort(key=lambda p: (-p.probability, p.ip, p.port))
-        return predictions
+                current = best.get(pair)
+                if current is None or probability > current[0]:
+                    best[pair] = (probability, predictor)
+        # Pairs are unique, so the sort never reaches the predictor.
+        ranked = sorted([(-probability, ip, port, predictor)
+                         for (ip, port), (probability, predictor) in best.items()])
+        return [PredictedService(ip, port, -negated, predictor)
+                for negated, ip, port, predictor in ranked]
 
     def predict_batches(
         self,

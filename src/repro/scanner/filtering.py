@@ -155,6 +155,10 @@ class PseudoServiceFilter:
         exactly the order :meth:`apply` emits.
         """
         ips, ports = batch.ips, batch.ports
+        if len(set(ips)) == len(ips):
+            # One row per host (every single-port sweep): neither rule can
+            # fire, and host first-seen order is row order.
+            return list(range(len(ips))), [], [], set()
         banner_ids = batch.banner_ids
         rank: Dict[int, int] = {}
         for ip in ips:
@@ -249,8 +253,7 @@ class PseudoServiceFilter:
         therefore identical to :meth:`apply`'s pair-wise removal.
         """
         kept, _, _, _ = self._partition_batch(batch)
-        row = batch.row
-        return [row(i) for i in kept]
+        return batch.materialize(kept)
 
     def apply_batch(self, batch: ObservationBatch,
                     ) -> Tuple[ObservationBatch, FilterReport]:

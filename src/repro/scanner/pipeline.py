@@ -197,6 +197,11 @@ class ScanPipeline:
 
         ``subnet`` is either a packed subnet key (see
         :func:`repro.net.ipv4.subnet_key`) or a ``(base, prefix_len)`` tuple.
+
+        The sweep runs through the columnar layers, like
+        :meth:`scan_pair_batches`: the responders fold into flat columns
+        (one ledger charge per layer, no per-hit result objects or banner
+        copies) and rows materialize only here, at the API boundary.
         """
         sweep_t0 = time.perf_counter() if self.telemetry.enabled else None
         if isinstance(subnet, tuple):
@@ -204,12 +209,14 @@ class ScanPipeline:
         else:
             base, length = subnet_key_parts(subnet)
         responders = self.zmap.scan_prefix(port, base, length, category=category)
-        fingerprints = self.lzr.fingerprint_many(
-            ((ip, port) for ip in responders), category=category
-        )
-        observations = self.zgrab.grab_many(fingerprints, category=category)
+        fingerprints = self.lzr.fingerprint_batch_columns(
+            responders, [port] * len(responders), category=category,
+            statuses=self._status_encoder)
+        batch = self.zgrab.grab_batch_columns(fingerprints, category=category)
         if apply_filter:
-            observations = self.pseudo_filter.filter(observations)
+            observations = self.pseudo_filter.filter_batch(batch)
+        else:
+            observations = batch.materialize()
         if sweep_t0 is not None:
             self._observe_sweep("prefix", time.perf_counter() - sweep_t0)
         return observations

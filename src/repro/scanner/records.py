@@ -202,13 +202,25 @@ class ObservationBatch:
             ttl=self.ttls[i],
         )
 
-    def iter_rows(self) -> Iterator[ScanObservation]:
-        """Iterate lazily materialized rows in order."""
+    def iter_rows(self, indices: Optional[Iterable[int]] = None,
+                  ) -> Iterator[ScanObservation]:
+        """Iterate lazily materialized rows in order.
+
+        With ``indices``, only those rows, in that order (what the columnar
+        pseudo-service filter keeps).
+        """
+        if indices is None:
+            rows = zip(self.ips, self.ports, self.status, self.banner_ids,
+                       self.ttls)
+        else:
+            ips, ports, status = self.ips, self.ports, self.status
+            banner_ids, ttls = self.banner_ids, self.ttls
+            rows = ((ips[i], ports[i], status[i], banner_ids[i], ttls[i])
+                    for i in indices)
         decode_status = self.statuses.decode
         interned_features = self.banners.features
         local_banners = self.local_banners
-        for ip, port, status_id, banner_id, ttl in zip(
-                self.ips, self.ports, self.status, self.banner_ids, self.ttls):
+        for ip, port, status_id, banner_id, ttl in rows:
             features = (interned_features(banner_id) if banner_id >= 0
                         else local_banners[-banner_id - 1])
             yield ScanObservation(ip=ip, port=port,
@@ -216,9 +228,11 @@ class ObservationBatch:
                                   app_features=features,
                                   ttl=ttl)
 
-    def materialize(self) -> List[ScanObservation]:
-        """Materialize every row (the pipeline's API-boundary step)."""
-        return list(self.iter_rows())
+    def materialize(self, indices: Optional[Iterable[int]] = None,
+                    ) -> List[ScanObservation]:
+        """Materialize every row -- or just ``indices``, in that order (the
+        pipeline's API-boundary step)."""
+        return list(self.iter_rows(indices))
 
 
 @dataclass(frozen=True)

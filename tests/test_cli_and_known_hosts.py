@@ -7,7 +7,9 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core.config import GPSConfig
 from repro.core.gps import GPS
+from repro.datasets.split import seed_scan_cost_probes
 from repro.scanner.pipeline import ScanPipeline
+from repro.telemetry import Telemetry
 
 
 class TestKnownHostPrediction:
@@ -63,6 +65,31 @@ class TestKnownHostPrediction:
         result = gps.predict_for_known_hosts(censys_split.seed_scan_result(), known)
         known_pairs = {obs.pair() for obs in known}
         assert not (known_pairs & {p.pair() for p in result.predictions})
+
+    @pytest.mark.parametrize("mode", ["run", "known_hosts"])
+    def test_prediction_scan_span_in_both_modes(self, universe, censys_dataset,
+                                                censys_split, mode):
+        telemetry = Telemetry()
+        gps = GPS(ScanPipeline(universe),
+                  GPSConfig(seed_fraction=0.05, step_size=16,
+                            port_domain=censys_dataset.port_domain),
+                  telemetry=telemetry)
+        seed = censys_split.seed_scan_result()
+        if mode == "run":
+            result = gps.run(seed=seed, seed_cost_probes=seed_scan_cost_probes(
+                censys_dataset, 0.05))
+        else:
+            by_host = {}
+            for obs in censys_split.test_observations:
+                by_host.setdefault(obs.ip, obs)
+            result = gps.predict_for_known_hosts(
+                seed, list(by_host.values())[:150])
+        spans = [event for event in telemetry.tracer.flat_events()
+                 if event["name"] == "prediction.scan"]
+        assert len(spans) == 1
+        attrs = spans[0]["attrs"]
+        assert attrs["batches"] > 0
+        assert attrs["observations"] == len(result.prediction_observations) > 0
 
 
 class TestCLI:

@@ -7,23 +7,32 @@ bit-identical, argmax ties broken identically -- on every runtime executor.
 The tests pin the tie-break ladder explicitly (probability, then support,
 then smallest predictor tuple), the min-support/fallback tiers and the
 cutoff, plus the bounded network-feature memo that ``predict`` keeps across
-GPS rounds.
+GPS rounds and its per-call predictor-run memo, checked against a plain
+per-observation loop.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.core.predictions as predictions_module
 from repro.core.config import FeatureConfig
-from repro.core.features import HostFeatures, extract_host_features
+from repro.core.features import (
+    HostFeatures,
+    extract_host_features,
+    network_feature_values,
+    predictor_tuples_for_observation,
+)
 from repro.core.model import CooccurrenceModel, build_model
 from repro.core.predictions import (
     NET_FEATURE_CACHE_MAX,
+    PredictedService,
     PredictiveFeatureIndex,
     build_prediction_index_with_engine,
 )
 from repro.datasets.split import split_seed_test
+from repro.net.asn import AsnDatabase, AsnRecord
 from repro.scanner.records import ScanObservation
 
 from engine_helpers import resident_groups
@@ -375,3 +384,139 @@ class TestNetFeatureCacheThreadSafety:
                 range(12)))
         assert all(result == expected for result in results)
         assert len(index._net_cache) == len(ips)
+
+
+# -- predict's run memo vs a per-observation reference loop -----------------------------
+
+_PORTS = (22, 80, 443, 8080)
+_APP_ITEMS = (("protocol", "http"), ("protocol", "ssh"),
+              ("http_server", "nginx"), ("http_server", "lighttpd"),
+              ("ssh_banner", "OpenSSH_8.2"))
+#: Two /16s, a handful of hosts each: co-located hosts share network values.
+_IPS = tuple(base + offset for base in (0x0A000000, 0x0A010000)
+             for offset in (1, 2, 3))
+_ASN_DB = AsnDatabase([AsnRecord(base=0x0A000000, prefix_len=16, asn=64512),
+                       AsnRecord(base=0x0A010000, prefix_len=16, asn=64513)])
+
+
+def _candidate_predictors():
+    """Every predictor tuple an observation over the pools can derive."""
+    nets = sorted({value for ip in _IPS
+                   for value in network_feature_values(
+                       ip, _ASN_DB, FeatureConfig().network_feature_kinds)})
+    out = []
+    for port in _PORTS:
+        out.append(("P", port))
+        out.extend(("PA", port) + item for item in _APP_ITEMS)
+        out.extend(("PN", port) + net for net in nets)
+        out.extend(("PAN", port) + item + net
+                   for item in _APP_ITEMS for net in nets)
+    return out
+
+
+_PREDICTORS = _candidate_predictors()
+
+
+@st.composite
+def _banners(draw):
+    """A banner: one value per key, in a drawn dict order."""
+    items = draw(st.lists(st.sampled_from(_APP_ITEMS), max_size=4,
+                          unique_by=lambda item: item[0]))
+    return dict(draw(st.permutations(items)))
+
+
+_observations = st.lists(
+    st.builds(lambda ip, port, banner: ScanObservation(
+        ip=ip, port=port, protocol=banner.get("protocol", "http"),
+        app_features=banner),
+        st.sampled_from(_IPS), st.sampled_from(_PORTS), _banners()),
+    max_size=24)
+_index_entries = st.lists(
+    st.builds(predictions_module.PredictiveFeature,
+              st.sampled_from(_PREDICTORS), st.sampled_from(_PORTS),
+              st.sampled_from((0.5, 1.0))),
+    max_size=40)
+_known = st.sets(st.tuples(st.sampled_from(_IPS), st.sampled_from(_PORTS)),
+                 max_size=8)
+
+
+def _reference_predict(index, observations, asn_db, config, known_pairs):
+    """The per-observation loop predict's run memo must reproduce."""
+    known = known_pairs or set()
+    best = {}
+    for obs in observations:
+        net_values = network_feature_values(obs.ip, asn_db,
+                                            config.network_feature_kinds)
+        for predictor in predictor_tuples_for_observation(obs, net_values,
+                                                          config):
+            for port, probability in index.targets_for(predictor).items():
+                pair = (obs.ip, port)
+                if port == obs.port or pair in known:
+                    continue
+                if pair not in best or probability > best[pair].probability:
+                    best[pair] = PredictedService(obs.ip, port, probability,
+                                                  predictor)
+    return sorted(best.values(), key=lambda p: (-p.probability, p.ip, p.port))
+
+
+class TestPredictRunMemo:
+    """``predict`` derives one run per (port, banner, network values) and
+    must still equal the plain per-observation loop: equal banners on
+    co-located hosts and across ports, reordered banner dicts, targets equal
+    to the observation's own port, known pairs and probability ties."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(entries=_index_entries, observations=_observations, known=_known,
+           use_asn=st.booleans())
+    def test_matches_reference_loop(self, entries, observations, known,
+                                    use_asn):
+        index = PredictiveFeatureIndex(entries)
+        asn_db = _ASN_DB if use_asn else None
+        config = FeatureConfig()
+        assert index.predict(observations, asn_db, config, known_pairs=known) \
+            == _reference_predict(index, observations, asn_db, config, known)
+
+    @settings(max_examples=60, deadline=None)
+    @given(entries=_index_entries, observations=_observations,
+           first=_known, second=_known)
+    def test_back_to_back_calls_share_no_memo_state(self, entries,
+                                                    observations, first,
+                                                    second):
+        index = PredictiveFeatureIndex(entries)
+        config = FeatureConfig()
+        calls = [(None, first), (_ASN_DB, second), (None, second),
+                 (_ASN_DB, first)]
+        for asn_db, known in calls:
+            assert index.predict(observations, asn_db, config,
+                                 known_pairs=known) == \
+                _reference_predict(index, observations, asn_db, config, known)
+
+    def test_probability_tie_keeps_first_candidate(self):
+        """Within a run and across observations, the first candidate wins."""
+        index = PredictiveFeatureIndex([
+            predictions_module.PredictiveFeature(("P", 80), 8080, 0.5),
+            predictions_module.PredictiveFeature(
+                ("PA", 80, "protocol", "http"), 8080, 0.5),
+            predictions_module.PredictiveFeature(("P", 22), 8080, 0.5),
+        ])
+        banner = {"protocol": "http"}
+        observations = [ScanObservation(0x0A000001, 80, "http", banner),
+                        ScanObservation(0x0A000001, 22, "http", banner)]
+        for ordered in (observations, observations[::-1]):
+            (predicted,) = index.predict(ordered, None, FeatureConfig())
+            assert predicted.predictor == ("P", ordered[0].port)
+
+    def test_equal_banners_reordered_share_one_answer(self):
+        """Same content in a different key order, on co-located hosts."""
+        index = PredictiveFeatureIndex([
+            predictions_module.PredictiveFeature(
+                ("PA", 80, "http_server", "nginx"), 8080, 0.5),
+            predictions_module.PredictiveFeature(("P", 80), 80, 1.0),
+        ])
+        forward = {"protocol": "http", "http_server": "nginx"}
+        backward = {"http_server": "nginx", "protocol": "http"}
+        observations = [ScanObservation(0x0A000001, 80, "http", forward),
+                        ScanObservation(0x0A000002, 80, "http", backward)]
+        predicted = index.predict(observations, None, FeatureConfig())
+        assert [(p.ip, p.port, p.probability) for p in predicted] == [
+            (0x0A000001, 8080, 0.5), (0x0A000002, 8080, 0.5)]

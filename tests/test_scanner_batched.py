@@ -1,8 +1,7 @@
 """Equivalence tests for the batched prediction-scan path.
 
-The batched layers (``Universe.syn_ack_many``, ``ZMapSimulator.scan_pair_batches``,
-``LZRSimulator.fingerprint_batch``, ``ZGrabSimulator.grab_batch`` and
-``ScanPipeline.scan_pair_batches``) are *defined* as equivalent to their
+The batched layers (``Universe.syn_ack_many``, ``ZMapSimulator.scan_pair_batches``
+and ``ScanPipeline.scan_pair_batches``) are *defined* as equivalent to their
 pair-by-pair counterparts: same probes sent, same services observed, identical
 bandwidth-ledger charges.  Every test here compares the two paths on the same
 targets, including the miss-heavy mixes (dark addresses, closed ports,
@@ -12,7 +11,8 @@ The *columnar* layers (``scan_pair_batch_columns``, ``fingerprint_batch_columns`
 ``grab_batch_columns``, ``ObservationBatch`` and the columnar pseudo filter)
 carry the same contract one representation further: flat int columns instead
 of per-hit objects, materializing ``ScanObservation`` rows only at the API
-boundary -- with the per-object paths kept as the equivalence oracle.
+boundary -- with the per-target ``fingerprint_many`` / ``grab_many`` /
+``filter`` chain kept as the equivalence oracle.
 """
 
 from __future__ import annotations
@@ -124,29 +124,6 @@ class TestBatchedLayers:
         with pytest.raises(ValueError):
             pipeline.zmap.scan_pair_batches([batch])
 
-    def test_lzr_batch_matches_fingerprint_many(self, universe):
-        pairs = _mixed_targets(universe)
-        hits = ScanPipeline(universe).zmap.scan_pairs(pairs)
-        pipeline_a, pipeline_b = ScanPipeline(universe), ScanPipeline(universe)
-        many = pipeline_a.lzr.fingerprint_many(hits, category=ScanCategory.PREDICTION)
-        batch = pipeline_b.lzr.fingerprint_batch(hits, category=ScanCategory.PREDICTION)
-        assert many == batch
-        assert pipeline_a.ledger.probes == pipeline_b.ledger.probes
-        assert pipeline_a.ledger.responses == pipeline_b.ledger.responses
-
-    def test_zgrab_batch_matches_grab_many(self, universe):
-        pairs = _mixed_targets(universe)
-        fresh = ScanPipeline(universe)
-        fingerprints = fresh.lzr.fingerprint_many(fresh.zmap.scan_pairs(pairs))
-        pipeline_a, pipeline_b = ScanPipeline(universe), ScanPipeline(universe)
-        many = pipeline_a.zgrab.grab_many(fingerprints,
-                                          category=ScanCategory.PREDICTION)
-        batch = pipeline_b.zgrab.grab_batch(fingerprints,
-                                            category=ScanCategory.PREDICTION)
-        assert many == batch
-        assert pipeline_a.ledger.probes == pipeline_b.ledger.probes
-        assert pipeline_a.ledger.responses == pipeline_b.ledger.responses
-
 
 class TestBatchedPipeline:
     @pytest.mark.parametrize("prefix_len", [0, 16, 24])
@@ -194,12 +171,12 @@ class TestColumnarLayers:
         with pytest.raises(ValueError):
             pipeline.zmap.scan_pair_batch_columns([batch])
 
-    def test_lzr_columns_match_fingerprint_batch(self, universe):
+    def test_lzr_columns_match_fingerprint_many(self, universe):
         pairs = _mixed_targets(universe)
         hits = ScanPipeline(universe).zmap.scan_pairs(pairs)
         pipeline_a, pipeline_b = ScanPipeline(universe), ScanPipeline(universe)
-        objects = pipeline_a.lzr.fingerprint_batch(hits,
-                                                   category=ScanCategory.PREDICTION)
+        objects = pipeline_a.lzr.fingerprint_many(hits,
+                                                  category=ScanCategory.PREDICTION)
         columns = pipeline_b.lzr.fingerprint_batch_columns(
             [ip for ip, _ in hits], [port for _, port in hits],
             category=ScanCategory.PREDICTION)
@@ -212,7 +189,7 @@ class TestColumnarLayers:
         assert pipeline_a.ledger.probes == pipeline_b.ledger.probes
         assert pipeline_a.ledger.responses == pipeline_b.ledger.responses
 
-    def test_zgrab_columns_match_grab_batch(self, universe):
+    def test_zgrab_columns_match_grab_many(self, universe):
         pairs = _mixed_targets(universe)
         fresh = ScanPipeline(universe)
         hits = fresh.zmap.scan_pairs(pairs)
@@ -220,8 +197,8 @@ class TestColumnarLayers:
         columns = fresh.lzr.fingerprint_batch_columns(
             [ip for ip, _ in hits], [port for _, port in hits])
         pipeline_a, pipeline_b = ScanPipeline(universe), ScanPipeline(universe)
-        objects = pipeline_a.zgrab.grab_batch(fingerprints,
-                                              category=ScanCategory.PREDICTION)
+        objects = pipeline_a.zgrab.grab_many(fingerprints,
+                                             category=ScanCategory.PREDICTION)
         batch = pipeline_b.zgrab.grab_batch_columns(columns,
                                                     category=ScanCategory.PREDICTION)
         assert batch.materialize() == objects

@@ -187,3 +187,98 @@ class TestProbeLossModel:
         model = ProbeLossModel(seed=2, loss_rate=0.3)
         drops = sum(model.lost("zmap", ip, 443, 0) for ip in range(4000))
         assert 0.25 < drops / 4000 < 0.35
+
+
+def _prefix_of(universe, ip):
+    """The announced ``(base, prefix_len)`` that contains ``ip``."""
+    for system in universe.topology.systems:
+        for base, length in system.prefixes:
+            if base <= ip < base + (1 << (32 - length)):
+                return base, length
+    raise AssertionError(f"{ip} is not announced")
+
+
+def _per_target_prefix_scan(pipeline, port, prefix, apply_filter):
+    """The per-object oracle of ``scan_prefix``: fingerprint, grab and
+    filter one target at a time."""
+    category = ScanCategory.PRIORS
+    responders = pipeline.zmap.scan_prefix(port, *prefix, category=category)
+    fingerprints = pipeline.lzr.fingerprint_many(
+        ((ip, port) for ip in responders), category=category)
+    observations = pipeline.zgrab.grab_many(fingerprints, category=category)
+    if apply_filter:
+        observations = pipeline.pseudo_filter.filter(observations)
+    return observations
+
+
+def _rows(observations):
+    return [(o.ip, o.port, o.protocol, dict(o.app_features), o.ttl)
+            for o in observations]
+
+
+def _ledger_state(ledger):
+    return (dict(ledger.probes), dict(ledger.responses),
+            dict(ledger.retransmits))
+
+
+class TestColumnarPrefixScan:
+    """``scan_prefix`` runs the columnar layers; the per-target chain
+    ``filter(grab_many(fingerprint_many(...)))`` is its oracle, with and
+    without seeded probe loss."""
+
+    @pytest.fixture(scope="class")
+    def sweeps(self, universe):
+        """(port, prefix) sweeps over real services, a static-page pseudo
+        host, an incident-style pseudo host and a middlebox's prefix."""
+        pseudo = [host for host in universe.hosts.values()
+                  if host.pseudo_port_range is not None]
+        static = next(h for h in pseudo if not h.pseudo_incident_style)
+        incident = next(h for h in pseudo if h.pseudo_incident_style)
+        middlebox = next(h for h in universe.hosts.values() if h.is_middlebox)
+        top_port = universe.port_registry().top_ports(1)[0]
+        sweeps = [(top_port, _prefix_of(universe, static.ip)),
+                  (static.pseudo_port_range[0], _prefix_of(universe, static.ip)),
+                  (incident.pseudo_port_range[0] + 7,
+                   _prefix_of(universe, incident.ip)),
+                  (top_port, _prefix_of(universe, middlebox.ip))]
+        for system in universe.topology.systems[:3]:
+            sweeps.append((top_port, system.prefixes[0]))
+        return sweeps
+
+    @pytest.mark.parametrize("plan", [None, LOSS], ids=["lossless", "lossy"])
+    @pytest.mark.parametrize("apply_filter", [True, False])
+    def test_rows_and_ledger_match_per_target_chain(self, universe, sweeps,
+                                                    plan, apply_filter):
+        columnar = ScanPipeline(universe, fault_plan=plan)
+        oracle = ScanPipeline(universe, fault_plan=plan)
+        saw_pseudo = saw_incident = False
+        for port, prefix in sweeps:
+            got = columnar.scan_prefix(port, prefix, apply_filter=apply_filter)
+            want = _per_target_prefix_scan(oracle, port, prefix, apply_filter)
+            assert _rows(got) == _rows(want)
+            for observation in got:
+                host = universe.hosts[observation.ip]
+                if not host.services.get(observation.port):
+                    saw_pseudo = True
+                    saw_incident |= host.pseudo_incident_style
+        assert saw_pseudo and saw_incident
+        assert _ledger_state(columnar.ledger) == _ledger_state(oracle.ledger)
+        if plan is not None:
+            assert columnar.ledger.total_retransmits() > 0
+
+    @pytest.mark.parametrize("plan", [None, LOSS], ids=["lossless", "lossy"])
+    def test_probe_counters_equal_ledger(self, universe, sweeps, plan):
+        from repro.telemetry import Telemetry
+
+        pipeline = ScanPipeline(universe, fault_plan=plan,
+                                telemetry=Telemetry())
+        for port, prefix in sweeps:
+            pipeline.scan_prefix(port, prefix)
+        samples = pipeline.telemetry.metrics.as_dict()[
+            "scan_probes_total"]["samples"]
+        counted = {sample["labels"]["category"]: sample["value"]
+                   for sample in samples}
+        assert counted == {category.value: probes for category, probes
+                           in pipeline.ledger.probes.items() if probes}
+        assert counted[ScanCategory.PRIORS.value] == \
+            pipeline.ledger.total_probes()
