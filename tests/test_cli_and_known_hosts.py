@@ -91,6 +91,52 @@ class TestKnownHostPrediction:
         assert attrs["batches"] > 0
         assert attrs["observations"] == len(result.prediction_observations) > 0
 
+    @staticmethod
+    def _known_hosts(censys_split, count=150):
+        by_host = {}
+        for obs in censys_split.test_observations:
+            by_host.setdefault(obs.ip, obs)
+        return list(by_host.values())[:count]
+
+    def test_prediction_scan_probes_every_slice(self, universe, censys_dataset,
+                                                censys_split):
+        telemetry = Telemetry()
+        gps = GPS(ScanPipeline(universe),
+                  GPSConfig(seed_fraction=0.05, step_size=16,
+                            port_domain=censys_dataset.port_domain,
+                            prediction_batch_size=25),
+                  telemetry=telemetry)
+        result = gps.predict_for_known_hosts(censys_split.seed_scan_result(),
+                                             self._known_hosts(censys_split))
+        slices = -(-len(result.predictions) // 25)
+        assert slices > 1
+        assert not result.truncated_by_budget
+        (span,) = [event for event in telemetry.tracer.flat_events()
+                   if event["name"] == "prediction.scan"]
+        assert span["attrs"]["batches"] == slices
+        assert [batch.phase for batch in result.discovery_log].count(
+            "prediction") == slices
+        predicted = {p.pair() for p in result.predictions}
+        assert {o.pair() for o in result.prediction_observations} <= predicted
+
+    def test_prediction_scan_stops_at_the_budget(self, universe, censys_dataset,
+                                                 censys_split):
+        # A one-probe budget: the first slice goes out, the check before the
+        # second one stops the scan.
+        pipeline = ScanPipeline(universe)
+        gps = GPS(pipeline, GPSConfig(
+            seed_fraction=0.05, step_size=16,
+            port_domain=censys_dataset.port_domain, prediction_batch_size=25,
+            max_full_scans=1.5 / universe.address_space_size()))
+        result = gps.predict_for_known_hosts(censys_split.seed_scan_result(),
+                                             self._known_hosts(censys_split))
+        assert len(result.predictions) > 25
+        assert result.truncated_by_budget
+        assert [batch.phase for batch in result.discovery_log].count(
+            "prediction") == 1
+        first_slice = {p.pair() for p in result.predictions[:25]}
+        assert {o.pair() for o in result.prediction_observations} <= first_slice
+
 
 class TestCLI:
     def test_parser_requires_command(self):

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.config import FeatureConfig, GPSConfig
 from repro.core.features import (
+    app_feature_items,
+    assemble_predictor_tuples,
     describe_predictor,
     extract_host_features,
     network_feature_values,
+    predictor_conditions,
     predictor_family,
     predictor_tuples_for_observation,
 )
@@ -113,6 +117,71 @@ class TestPredictorTuples:
         assert "ssh_banner" in describe_predictor(("PA", 22, "ssh_banner", "x"))
         assert "asn" in describe_predictor(("PN", 22, "asn", 65001))
         assert "asn" in describe_predictor(("PAN", 22, "k", "v", "asn", 65001))
+
+
+#: One-family configs: each enables exactly one predictor family.
+_ONE_FAMILY = {
+    "P": FeatureConfig(include_app=False, include_network=False,
+                       include_app_network=False),
+    "PA": FeatureConfig(include_transport_only=False, include_network=False,
+                        include_app_network=False),
+    "PN": FeatureConfig(include_transport_only=False, include_app=False,
+                        include_app_network=False),
+    "PAN": FeatureConfig(include_transport_only=False, include_app=False,
+                         include_network=False),
+}
+_APP = [("protocol", "http"), ("http_server", "nginx")]
+_NET = [("asn", 65001), ("subnet16", 0x0A010000)]
+
+
+class TestPredictorConditions:
+    """``predictor_conditions`` inverts ``assemble_predictor_tuples``."""
+
+    @pytest.mark.parametrize("family", sorted(_ONE_FAMILY))
+    def test_conditions_name_the_parts_a_family_uses(self, family):
+        tuples = assemble_predictor_tuples(80, _APP, _NET, _ONE_FAMILY[family])
+        assert tuples and {predictor_family(t) for t in tuples} == {family}
+        for predictor in tuples:
+            port, app, net = predictor_conditions(predictor)
+            assert port == 80
+            assert (app is not None) == (family in ("PA", "PAN"))
+            assert (net is not None) == (family in ("PN", "PAN"))
+            assert app is None or app in _APP
+            assert net is None or net in _NET
+
+    @given(port=st.integers(1, 65535),
+           app=st.lists(st.tuples(st.sampled_from(("protocol", "http_server")),
+                                  st.text(min_size=1, max_size=4)),
+                        max_size=3),
+           net=st.lists(st.tuples(st.sampled_from(("asn", "subnet16")),
+                                  st.integers(0, 2**32 - 1)),
+                        max_size=3))
+    def test_conditions_reassemble_the_predictor(self, port, app, net):
+        for predictor in assemble_predictor_tuples(port, app, net,
+                                                   FeatureConfig()):
+            got_port, got_app, got_net = predictor_conditions(predictor)
+            family = predictor_family(predictor)
+            rebuilt = assemble_predictor_tuples(
+                got_port, [got_app] if got_app else [],
+                [got_net] if got_net else [], _ONE_FAMILY[family])
+            assert rebuilt == [predictor]
+
+
+class TestAppFeatureItems:
+    def test_items_follow_configured_key_order_and_skip_empty(self):
+        features = {"http_server": "nginx", "protocol": "http",
+                    "ssh_banner": "", "unlisted": "x"}
+        config = FeatureConfig(app_feature_keys=("protocol", "ssh_banner",
+                                                 "http_server"))
+        assert app_feature_items(features, config) == [
+            ("protocol", "http"), ("http_server", "nginx")]
+
+    @pytest.mark.parametrize("config", [
+        FeatureConfig().transport_only(),
+        FeatureConfig(include_app=False, include_app_network=False),
+    ], ids=["transport_only", "network_only"])
+    def test_no_items_without_an_app_family(self, config):
+        assert app_feature_items({"protocol": "http"}, config) == []
 
 
 class TestExtractHostFeatures:

@@ -33,7 +33,7 @@ from repro.core.predictions import (
 )
 from repro.datasets.split import split_seed_test
 from repro.net.asn import AsnDatabase, AsnRecord
-from repro.scanner.records import ScanObservation
+from repro.scanner.records import ObservationBatch, ScanObservation
 
 from engine_helpers import resident_groups
 
@@ -490,6 +490,72 @@ class TestPredictRunMemo:
             assert index.predict(observations, asn_db, config,
                                  known_pairs=known) == \
                 _reference_predict(index, observations, asn_db, config, known)
+
+    @pytest.mark.parametrize("config", [
+        FeatureConfig().transport_only(),
+        FeatureConfig(include_transport_only=False, include_network=False,
+                      include_app_network=False),
+        FeatureConfig(include_transport_only=False, include_app=False,
+                      include_app_network=False),
+        FeatureConfig(include_transport_only=False, include_app=False,
+                      include_network=False),
+        FeatureConfig(app_feature_keys=("http_server",),
+                      network_feature_kinds=("asn",)),
+    ], ids=["transport_only", "app_only", "network_only", "app_network_only",
+            "narrow_keys_and_kinds"])
+    @settings(max_examples=60, deadline=None)
+    @given(entries=_index_entries, observations=_observations, known=_known)
+    def test_matches_reference_loop_across_feature_configs(
+            self, config, entries, observations, known):
+        # The index vocabulary holds every family and kind; predict must
+        # derive (and prune) only what the call's config asks for.
+        index = PredictiveFeatureIndex(entries)
+        assert index.predict(observations, _ASN_DB, config, known_pairs=known) \
+            == _reference_predict(index, observations, _ASN_DB, config, known)
+
+    @settings(max_examples=60, deadline=None)
+    @given(entries=_index_entries, observations=_observations)
+    def test_columnar_rows_predict_like_object_rows(self, entries,
+                                                    observations):
+        # Rows materialized from a batch carry interned read-only banner
+        # views, not the caller's dicts: the run memo keys on content.
+        index = PredictiveFeatureIndex(entries)
+        rows = ObservationBatch.from_observations(observations).materialize()
+        config = FeatureConfig()
+        assert index.predict(rows, _ASN_DB, config) == \
+            index.predict(observations, _ASN_DB, config)
+
+    def test_equal_banners_in_other_networks_get_their_own_run(self):
+        """The run memo keys on network values too: one banner on one port,
+        served from two /16s, joins different network predictors."""
+        index = PredictiveFeatureIndex([
+            predictions_module.PredictiveFeature(
+                ("PN", 80, "asn", 64513), 8080, 0.5),
+            predictions_module.PredictiveFeature(
+                ("PAN", 80, "protocol", "http", "asn", 64512), 443, 0.7),
+        ])
+        banner = {"protocol": "http"}
+        observations = [ScanObservation(0x0A000001, 80, "http", banner),
+                        ScanObservation(0x0A010001, 80, "http", banner)]
+        for ordered in (observations, observations[::-1]):
+            predicted = index.predict(ordered, _ASN_DB, FeatureConfig())
+            assert [(p.ip, p.port, p.probability) for p in predicted] == [
+                (0x0A000001, 443, 0.7), (0x0A010001, 8080, 0.5)]
+
+    def test_unindexed_port_predicts_nothing(self):
+        index = PredictiveFeatureIndex([
+            predictions_module.PredictiveFeature(("P", 80), 443, 0.9),
+            predictions_module.PredictiveFeature(
+                ("PN", 80, "asn", 64512), 8080, 0.7),
+        ])
+        banner = {"protocol": "ssh", "ssh_banner": "OpenSSH_8.2"}
+        observations = [ScanObservation(ip, 22, "ssh", banner) for ip in _IPS]
+        assert index.predict(observations, _ASN_DB, FeatureConfig()) == []
+        predicted = index.predict(
+            [ScanObservation(_IPS[0], 80, "http", {"protocol": "http"})],
+            _ASN_DB, FeatureConfig())
+        assert [(p.port, p.probability) for p in predicted] == [
+            (443, 0.9), (8080, 0.7)]
 
     def test_probability_tie_keeps_first_candidate(self):
         """Within a run and across observations, the first candidate wins."""

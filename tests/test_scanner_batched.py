@@ -124,6 +124,56 @@ class TestBatchedLayers:
         with pytest.raises(ValueError):
             pipeline.zmap.scan_pair_batches([batch])
 
+    def test_lzr_batch_matches_fingerprint_many(self, universe):
+        # The priors-sweep form of the batched LZR layer: one port, every
+        # responder, status ids in the pipeline's shared space.
+        for port in _sweep_ports(universe):
+            responders = universe.syn_ack_many(universe.all_ips(), port)
+            assert responders
+            pipeline_a, pipeline_b = ScanPipeline(universe), ScanPipeline(universe)
+            many = pipeline_a.lzr.fingerprint_many(
+                ((ip, port) for ip in responders), category=ScanCategory.PRIORS)
+            batch = pipeline_b.lzr.fingerprint_batch_columns(
+                responders, [port] * len(responders),
+                category=ScanCategory.PRIORS,
+                statuses=pipeline_b.status_encoder)
+            assert batch.statuses is pipeline_b.status_encoder
+            decode = batch.statuses.decode
+            assert [(r.ip, r.port, r.protocol, r.ttl) for r in many] == [
+                (ip, p, decode(status), ttl) for ip, p, status, ttl
+                in zip(batch.ips, batch.ports, batch.status, batch.ttls)]
+            assert pipeline_a.ledger.probes == pipeline_b.ledger.probes
+            assert pipeline_a.ledger.responses == pipeline_b.ledger.responses
+
+    def test_zgrab_batch_matches_grab_many(self, universe):
+        # The priors-sweep form of the batched ZGrab layer, over a port with
+        # real services and a pseudo host's port range.
+        for port in _sweep_ports(universe):
+            responders = universe.syn_ack_many(universe.all_ips(), port)
+            fresh = ScanPipeline(universe)
+            fingerprints = fresh.lzr.fingerprint_many(
+                (ip, port) for ip in responders)
+            columns = fresh.lzr.fingerprint_batch_columns(
+                responders, [port] * len(responders),
+                statuses=fresh.status_encoder)
+            pipeline_a, pipeline_b = ScanPipeline(universe), ScanPipeline(universe)
+            many = pipeline_a.zgrab.grab_many(fingerprints,
+                                              category=ScanCategory.PRIORS)
+            batch = pipeline_b.zgrab.grab_batch_columns(
+                columns, category=ScanCategory.PRIORS)
+            assert many
+            assert batch.materialize() == many
+            assert pipeline_a.ledger.probes == pipeline_b.ledger.probes
+            assert pipeline_a.ledger.responses == pipeline_b.ledger.responses
+
+
+def _sweep_ports(universe):
+    """The most popular port plus the first port of a pseudo host's range."""
+    pseudo = next(host for host in universe.hosts.values()
+                  if host.pseudo_port_range is not None)
+    return [universe.port_registry().top_ports(1)[0],
+            pseudo.pseudo_port_range[0]]
+
 
 class TestBatchedPipeline:
     @pytest.mark.parametrize("prefix_len", [0, 16, 24])

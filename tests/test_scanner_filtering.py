@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.scanner.filtering import FilterReport, PseudoServiceFilter, filter_quality
-from repro.scanner.records import ScanObservation
+from repro.scanner.records import ObservationBatch, ScanObservation
 
 
 def _obs(ip: int, port: int, body: str = "page", protocol: str = "http") -> ScanObservation:
@@ -63,6 +64,62 @@ class TestFilterRules:
         observations = [_obs(1, port, body="same") for port in range(80, 86)]
         kept = PseudoServiceFilter().filter(observations)
         assert kept == []
+
+
+def _row_key(observations):
+    return sorted((o.ip, o.port, tuple(sorted(o.app_features.items())))
+                  for o in observations)
+
+
+#: Rows over few hosts, ports and bodies, unique per (ip, port), so both
+#: rules fire often under small thresholds.
+_rows = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(1, 8), st.sampled_from("ab")),
+    max_size=30, unique_by=lambda row: row[:2],
+).map(lambda rows: [_obs(ip, port, body) for ip, port, body in rows])
+
+
+class TestColumnarFilter:
+    """``filter_batch`` / ``apply_batch`` remove exactly what ``apply``
+    removes, including on the one-row-per-host batches of a single-port
+    sweep, where neither rule can fire."""
+
+    def test_one_row_per_host_keeps_every_row_in_order(self):
+        # One port swept across a CDN: the same page on every host is not a
+        # duplicate-content host, however many hosts serve it.
+        observations = [_obs(ip, 443, body="cdn-default") for ip in range(12, 0, -1)]
+        batch = ObservationBatch.from_observations(observations)
+        pseudo_filter = PseudoServiceFilter()
+        assert pseudo_filter.filter_batch(batch) == observations
+        assert pseudo_filter.filter(observations) == observations
+
+    def test_apply_batch_one_row_per_host_reports_nothing(self):
+        observations = [_obs(ip, 80, body="same") for ip in range(1, 9)]
+        batch = ObservationBatch.from_observations(observations)
+        kept, report = PseudoServiceFilter(max_services_per_host=1,
+                                           min_duplicate_services=2
+                                           ).apply_batch(batch)
+        assert kept.materialize() == observations
+        assert report.removed_count() == 0
+        assert not report.flagged_hosts
+
+    @pytest.mark.parametrize("thresholds", [
+        {}, {"max_services_per_host": 3, "min_duplicate_services": 2},
+    ], ids=["default", "tight"])
+    @settings(max_examples=80, deadline=None)
+    @given(observations=_rows)
+    def test_batch_paths_match_apply(self, thresholds, observations):
+        pseudo_filter = PseudoServiceFilter(**thresholds)
+        batch = ObservationBatch.from_observations(observations)
+        expected = pseudo_filter.apply(observations)
+        assert pseudo_filter.filter_batch(batch) == expected.kept
+        kept, report = pseudo_filter.apply_batch(batch)
+        assert kept.materialize() == expected.kept
+        assert _row_key(report.removed_duplicate_content) == \
+            _row_key(expected.removed_duplicate_content)
+        assert _row_key(report.removed_dense_host) == \
+            _row_key(expected.removed_dense_host)
+        assert report.flagged_hosts == expected.flagged_hosts
 
 
 class TestOnSyntheticUniverse:

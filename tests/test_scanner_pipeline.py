@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.scanner.bandwidth import ScanCategory
+from repro.scanner.lzr import PROBES_PER_FINGERPRINT
 from repro.scanner.pipeline import ScanPipeline
+from repro.telemetry import Telemetry
 
 
 class TestSampling:
@@ -100,3 +102,60 @@ class TestPrefixAndPairScans:
         first = pipeline.ledger.total_probes()
         pipeline.scan_pairs(list(universe.real_service_pairs())[:10])
         assert pipeline.ledger.total_probes() > first
+
+
+class TestColumnarPrefixSweep:
+    """``scan_prefix`` folds its responders through the columnar layers and
+    materializes rows only at its return."""
+
+    def test_rows_carry_read_only_ground_truth_banners(self, universe, pipeline):
+        port = universe.port_registry().top_ports(1)[0]
+        base, length = universe.topology.systems[0].prefixes[0]
+        observations = pipeline.scan_prefix(port, (base, length),
+                                            apply_filter=False)
+        real = [obs for obs in observations
+                if port in universe.hosts[obs.ip].services]
+        assert real
+        for obs in real:
+            record = universe.hosts[obs.ip].services[port]
+            assert obs.app_features == record.app_features
+            assert (obs.protocol, obs.ttl) == (record.protocol, record.ttl)
+        with pytest.raises(TypeError):
+            real[0].app_features["protocol"] = "tampered"
+
+    def test_middlebox_only_port_yields_no_rows(self, universe, pipeline):
+        # Middleboxes SYN-ACK on every port but never complete a handshake:
+        # only the sweep's SYN-ACKs count as responses, and ZGrab is never
+        # charged.
+        base, length = universe.topology.systems[0].prefixes[0]
+        port = next(p for p in range(65535, 1, -1)
+                    if all(universe.hosts[ip].is_middlebox for ip in
+                           universe.responders_in_prefix(p, base, length)))
+        responders = universe.responders_in_prefix(port, base, length)
+        assert responders
+        assert pipeline.scan_prefix(port, (base, length)) == []
+        assert pipeline.ledger.total_responses() == len(responders)
+        assert pipeline.ledger.total_probes() == \
+            universe.announced_overlap(base, length) \
+            + PROBES_PER_FINGERPRINT * len(responders)
+
+    def test_status_ids_stay_in_the_pipeline_space(self, universe, pipeline):
+        port = universe.port_registry().top_ports(1)[0]
+        base, length = universe.topology.systems[0].prefixes[0]
+        first = pipeline.scan_prefix(port, (base, length))
+        assert first
+        protocols = {obs.protocol for obs in first}
+        assert len(pipeline.status_encoder) == len(protocols)
+        second = pipeline.scan_prefix(port, (base, length))
+        assert second == first
+        assert len(pipeline.status_encoder) == len(protocols)
+
+    def test_each_call_counts_one_prefix_sweep(self, universe):
+        pipeline = ScanPipeline(universe, telemetry=Telemetry())
+        port = universe.port_registry().top_ports(1)[0]
+        prefixes = [system.prefixes[0] for system in universe.topology.systems[:3]]
+        for prefix in prefixes:
+            pipeline.scan_prefix(port, prefix)
+        sweeps = pipeline.telemetry.metrics.as_dict()["scan_sweeps_total"]
+        assert [(sample["labels"], sample["value"])
+                for sample in sweeps["samples"]] == [({"shape": "prefix"}, 3)]

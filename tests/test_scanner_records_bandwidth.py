@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.scanner.bandwidth import BITS_PER_PROBE, BandwidthLedger, ScanCategory
-from repro.scanner.records import ScanObservation, observations_by_host, unique_pairs
+from repro.scanner.records import (
+    ObservationBatch,
+    ScanObservation,
+    observations_by_host,
+    unique_pairs,
+)
 
 
 def _obs(ip: int, port: int, protocol: str = "http") -> ScanObservation:
@@ -30,6 +35,41 @@ class TestScanObservation:
     def test_unique_pairs_dedupes(self):
         pairs = unique_pairs([_obs(1, 80), _obs(1, 80), _obs(2, 22)])
         assert pairs == [(1, 80), (2, 22)]
+
+
+def _batch_with_local_banners() -> ObservationBatch:
+    """Six rows: four interned banners (two shared) and two batch-local."""
+    batch = ObservationBatch.from_observations(
+        [_obs(1, 80), _obs(2, 22, "ssh"), _obs(3, 80), _obs(1, 443, "tls")])
+    for ip, port in ((4, 8080), (5, 8081)):
+        banner_id = batch.add_local_banner({"http_body_hash": f"incident-{ip}"})
+        batch.append(ip, port, batch.status_id("http"), banner_id, 64)
+    return batch
+
+
+class TestObservationBatchIndexedMaterialize:
+    """``materialize(indices)`` is the filter's API boundary: exactly the
+    requested rows, in the requested order."""
+
+    @given(st.lists(st.integers(min_value=0, max_value=5), max_size=12))
+    def test_indices_select_rows_in_the_given_order(self, indices):
+        batch = _batch_with_local_banners()
+        assert batch.materialize(indices) == [batch.row(i) for i in indices]
+        assert batch.materialize(indices) == batch.select(indices).materialize()
+
+    def test_indices_accept_any_iterable(self):
+        batch = _batch_with_local_banners()
+        expected = [batch.row(5), batch.row(0)]
+        assert batch.materialize(iter([5, 0])) == expected
+        assert batch.materialize((5, 0)) == expected
+        assert batch.materialize(range(len(batch))) == batch.materialize()
+        assert batch.materialize([]) == []
+
+    def test_local_banners_resolve_by_index(self):
+        batch = _batch_with_local_banners()
+        (row,) = batch.materialize([4])
+        assert (row.ip, row.port, row.protocol) == (4, 8080, "http")
+        assert row.app_features == {"http_body_hash": "incident-4"}
 
 
 class TestBandwidthLedger:
