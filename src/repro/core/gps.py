@@ -301,7 +301,7 @@ class GPS:
         with tel.span("predict") as span:
             predictions = feature_index.predict(
                 result.priors_observations, self._asn_db, config.feature_config,
-                known_pairs=set(discovered),
+                known_pairs=discovered,
             )
             span.set("predictions", len(predictions))
         result.predictions = predictions

@@ -21,13 +21,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.config import FeatureConfig
 from repro.core.features import (
     HostFeatures,
     PredictorTuple,
-    app_feature_items,
     assemble_predictor_tuples,
     network_feature_values,
     predictor_conditions,
@@ -51,6 +50,13 @@ PREDICTION_BATCH_PREFIX_LEN = 16
 #: from; at the bound the least-recently-used entry is evicted, so hosts
 #: that keep reappearing across rounds stay memoized under pressure.
 NET_FEATURE_CACHE_MAX = 65536
+
+#: An (ip, port) service.
+Pair = Tuple[int, int]
+
+#: ``predict``'s marker for a known pair: no probability beats it, and it
+#: never reaches the output.
+_KNOWN: Tuple[float, None] = (float("inf"), None)
 
 
 @dataclass(frozen=True)
@@ -82,20 +88,25 @@ class PredictiveFeatureIndex:
     def __init__(self, features: Iterable[PredictiveFeature]) -> None:
         self._by_predictor: Dict[PredictorTuple, Dict[int, float]] = {}
         for feature in features:
+            if not 0 <= feature.target_port <= 0xFFFF:
+                # predict packs (ip, target port) into ip << 16 | port.
+                raise ValueError(
+                    f"target port {feature.target_port} outside 0-65535")
             targets = self._by_predictor.setdefault(feature.predictor, {})
             existing = targets.get(feature.target_port)
             if existing is None or feature.probability > existing:
                 targets[feature.target_port] = feature.probability
         self._entry_count = sum(len(t) for t in self._by_predictor.values())
-        # Per conditioning port, the app items and network values some
-        # indexed predictor carries: predict derives only the tuples that
-        # can hit the index (see the run memo there).
-        self._app_vocab: Dict[int, Set[Tuple[str, str]]] = {}
+        # Per conditioning port, the app items (as banner key -> values) and
+        # network values some indexed predictor carries: predict reads and
+        # derives only what can hit the index (see the run memo there).
+        self._app_vocab: Dict[int, Dict[str, Set[str]]] = {}
         self._net_vocab: Dict[int, Set[Tuple[str, int]]] = {}
         for predictor in self._by_predictor:
             port, app_item, net_value = predictor_conditions(predictor)
             if app_item is not None:
-                self._app_vocab.setdefault(port, set()).add(app_item)
+                key, value = app_item
+                self._app_vocab.setdefault(port, {}).setdefault(key, set()).add(value)
             if net_value is not None:
                 self._net_vocab.setdefault(port, set()).add(net_value)
         # Bounded LRU memo for network_feature_values, shared across predict
@@ -207,7 +218,7 @@ class PredictiveFeatureIndex:
         observations: Iterable[ScanObservation],
         asn_db: Optional[AsnDatabase],
         feature_config: FeatureConfig,
-        known_pairs: Optional[Set[Tuple[int, int]]] = None,
+        known_pairs: Optional[AbstractSet[Pair]] = None,
     ) -> List[PredictedService]:
         """Predict remaining services from discovered-service observations.
 
@@ -218,35 +229,54 @@ class PredictiveFeatureIndex:
             asn_db: ASN database for network feature extraction.
             feature_config: which predictor tuples to derive per observation.
             known_pairs: (ip, port) pairs already discovered; predictions for
-                them are suppressed so bandwidth is not spent re-probing.
+                them are suppressed so bandwidth is not spent re-probing.  Only
+                membership is tested and the set is never mutated, so callers
+                may pass a live set or a frozenset without copying it.
 
         Returns:
             Deduplicated predictions ordered by probability (descending), the
-            order in which GPS probes them.
+            order in which GPS probes them; ties go to the lower (ip, port).
 
-        An observation's candidate predictions depend only on its port, its
-        banner content and its host's network feature values, and many
-        observations share all three (co-located hosts serving the same
-        banner).  Each call therefore keeps two memos:
+        The answer equals the plain loop: for every observation, derive its
+        predictor tuples, look each up in the index, skip targets on the
+        observation's own port and known pairs, and keep per (ip, target)
+        the first candidate of strictly greatest probability.  A medium GPS
+        run feeds ~37k observations and keeps ~38k predictions, so the loop
+        body must allocate almost nothing that outlives it: every surviving
+        tuple is a garbage-collector-tracked object, and at that volume the
+        collector's passes cost as much as the work itself.  Four steps:
 
-        * ``ip -> network feature values``, backed by the index's bounded
-          cross-call LRU (one lock round per distinct address, not per
-          observation);
-        * a *run* memo keyed on ``(port, banner items, network values)``:
-          the predictor tuples joined against the index once, as
-          ``(target port, probability, predictor)`` triples in derivation
-          order with the observation's own port already dropped.  Only
-          tuples whose app item and network value some indexed predictor
-          carries are derived at all; the rest could never hit.
+        * **Pruned run memo.**  An observation's candidates depend only on
+          its port and on the banner items and network values some indexed
+          predictor of that port carries; every other tuple could never hit.
+          Runs are memoized on ``(port, pruned app items, pruned network
+          values)``, reading only the banner keys the port's predictors use
+          (in ``app_feature_keys`` order, with ``app_feature_items``'s
+          truthiness test), so co-located hosts with banners that differ
+          only outside the index vocabulary share one run.  Network values
+          come from the index's bounded cross-call LRU, one lock round per
+          distinct address.
+        * **First-max per target.**  A run is collapsed, in derivation
+          order, to one ``(target port, probability, (probability,
+          predictor))`` entry per target, a later candidate replacing an
+          earlier one only on a strictly greater probability.  That is the
+          winner the plain loop would pick among the observation's own
+          candidates, and the value tuple is shared by every observation on
+          the run.
+        * **Int pair keys.**  The walk's ``best`` dict is keyed by
+          ``ip << 16 | target port`` (ints are not tracked by the collector)
+          and stores the run's shared value tuples.  ``known_pairs`` is
+          tested only the first time a pair is seen; a known pair is marked
+          with a sentinel no probability beats and never reaches the output.
+        * **Tuple-free ranking.**  The packed keys sort ascending in
+          (ip, port) order; a stable sort by probability with
+          ``reverse=True`` then yields the ``(-probability, ip, port)``
+          order, and each kept pair becomes one ``PredictedService``.
 
-        Each observation then only walks its run: skip known pairs, keep the
-        strictly better probability (so on a tie the first candidate still
-        wins).  The memo keys on content, never on object identity, so
-        object rows from any caller share runs exactly as columnar rows do;
-        both memos die with the call, so ``known_pairs`` and ``asn_db``
-        never leak between calls.
+        Both per-call memos die with the call, so ``known_pairs``,
+        ``feature_config`` and ``asn_db`` never leak between calls.
         """
-        known = known_pairs or set()
+        known = known_pairs or None
         # The index's LRU (NET_FEATURE_CACHE_MAX, a hit refreshes the entry,
         # the stalest entry goes first; keyed per (asn_db, kinds) so reuse
         # against another universe resets it) is shared by the serving
@@ -258,13 +288,18 @@ class PredictiveFeatureIndex:
         net_cache = self._net_values_cache(asn_db, kinds)
         net_cache_lock = self._net_cache_lock
         limit = NET_FEATURE_CACHE_MAX
-        by_predictor_get = self._by_predictor.get
-        app_vocab_get = self._app_vocab.get
-        net_vocab_get = self._net_vocab.get
-        no_vocab = frozenset()
+        reads_app = feature_config.include_app or feature_config.include_app_network
+        app_keys = feature_config.app_feature_keys
+        app_vocab = self._app_vocab
+        net_vocab = self._net_vocab
+        # Per port: the (banner key, indexed values) pairs to read and the
+        # indexed network values, both fixed for the call's config.
+        port_reads: Dict[int, Tuple[Tuple[Tuple[str, AbstractSet[str]], ...],
+                                    AbstractSet[Tuple[str, int]]]] = {}
         net_keys: Dict[int, Tuple[Tuple[str, int], ...]] = {}
-        runs: Dict[Tuple, List[Tuple[int, float, PredictorTuple]]] = {}
-        best: Dict[Tuple[int, int], Tuple[float, PredictorTuple]] = {}
+        runs: Dict[Tuple, List[Tuple[int, float, Tuple[float, PredictorTuple]]]] = {}
+        best: Dict[int, Tuple[float, Optional[PredictorTuple]]] = {}
+        best_get = best.get
         for observation in observations:
             ip = observation.ip
             net_values = net_keys.get(ip)
@@ -281,44 +316,65 @@ class PredictiveFeatureIndex:
                         net_cache[ip] = net_values
                 net_keys[ip] = net_values
             port = observation.port
-            run_key = (port, tuple(observation.app_features.items()), net_values)
+            reads = port_reads.get(port)
+            if reads is None:
+                vocab = app_vocab.get(port, {}) if reads_app else {}
+                reads = port_reads[port] = (
+                    tuple((key, vocab[key]) for key in app_keys if key in vocab),
+                    net_vocab.get(port, frozenset()))
+            app_read, indexed_net = reads
+            if app_read:
+                get = observation.app_features.get
+                app_items = tuple([(key, value) for key, values in app_read
+                                   if (value := get(key)) and value in values])
+            else:
+                app_items = ()
+            net_items = tuple([value for value in net_values
+                               if value in indexed_net]) if indexed_net else ()
+            run_key = (port, app_items, net_items)
             run = runs.get(run_key)
             if run is None:
-                app_vocab = app_vocab_get(port, no_vocab)
-                net_vocab = net_vocab_get(port, no_vocab)
-                predictors = assemble_predictor_tuples(
-                    port,
-                    [item for item in app_feature_items(
-                        observation.app_features, feature_config)
-                     if item in app_vocab],
-                    [value for value in net_values if value in net_vocab],
-                    feature_config)
-                run = runs[run_key] = [
-                    (target_port, probability, predictor)
-                    for predictor in predictors
-                    for target_port, probability in (
-                        by_predictor_get(predictor) or {}).items()
-                    if target_port != port
-                ]
-            for target_port, probability, predictor in run:
-                pair = (ip, target_port)
-                if pair in known:
+                run = runs[run_key] = self._run(port, app_items, net_items,
+                                                feature_config)
+            pair_base = ip << 16
+            for target_port, probability, value in run:
+                key = pair_base | target_port
+                current = best_get(key)
+                if current is None:
+                    best[key] = (_KNOWN if known is not None
+                                 and (ip, target_port) in known else value)
+                elif probability > current[0]:
+                    best[key] = value
+        ranked = sorted([key for key, value in best.items() if value is not _KNOWN])
+        ranked.sort(key=lambda key: best[key][0], reverse=True)
+        return [PredictedService(key >> 16, key & 0xFFFF, *best[key]) for key in ranked]
+
+    def _run(self, port: int, app_items: Sequence[Tuple[str, str]],
+             net_values: Sequence[Tuple[str, int]], feature_config: FeatureConfig,
+             ) -> List[Tuple[int, float, Tuple[float, PredictorTuple]]]:
+        """One observation's candidates, collapsed to a first-max per target.
+
+        Predictor tuples are joined against the index in derivation order;
+        targets on ``port`` itself are dropped, and a later candidate
+        replaces an earlier one only on a strictly greater probability.
+        """
+        firsts: Dict[int, Tuple[float, PredictorTuple]] = {}
+        for predictor in assemble_predictor_tuples(port, app_items, net_values,
+                                                   feature_config):
+            for target_port, probability in self._by_predictor.get(predictor, {}).items():
+                if target_port == port:
                     continue
-                current = best.get(pair)
+                current = firsts.get(target_port)
                 if current is None or probability > current[0]:
-                    best[pair] = (probability, predictor)
-        # Pairs are unique, so the sort never reaches the predictor.
-        ranked = sorted([(-probability, ip, port, predictor)
-                         for (ip, port), (probability, predictor) in best.items()])
-        return [PredictedService(ip, port, -negated, predictor)
-                for negated, ip, port, predictor in ranked]
+                    firsts[target_port] = (probability, predictor)
+        return [(target_port, value[0], value) for target_port, value in firsts.items()]
 
     def predict_batches(
         self,
         observations: Iterable[ScanObservation],
         asn_db: Optional[AsnDatabase],
         feature_config: FeatureConfig,
-        known_pairs: Optional[Set[Tuple[int, int]]] = None,
+        known_pairs: Optional[AbstractSet[Pair]] = None,
         prefix_len: int = PREDICTION_BATCH_PREFIX_LEN,
     ) -> List[ProbeBatch]:
         """Predict remaining services as per-(subnetwork, port) probe batches.

@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.config import GPSConfig
 from repro.core.features import extract_host_features
@@ -109,7 +109,8 @@ class PreparedModel:
     # -- queries (pure reads, safe from any thread) --------------------------------
 
     def predict(self, observations: Iterable[ScanObservation],
-                known_pairs: Optional[Set[Pair]] = None) -> List[PredictedService]:
+                known_pairs: Optional[AbstractSet[Pair]] = None,
+                ) -> List[PredictedService]:
         """Probability-ordered predictions for the given observations.
 
         Exactly ``index.predict`` with the model's ASN database and feature
@@ -118,7 +119,7 @@ class PreparedModel:
         """
         return self.index.predict(observations, self._asn_db,
                                   self.config.feature_config,
-                                  known_pairs=set(known_pairs or ()))
+                                  known_pairs=known_pairs)
 
     def known_observations(self, ip: int) -> List[ScanObservation]:
         """The model's seed observations for one address ([] if unknown)."""

@@ -460,7 +460,7 @@ class GPSService:
         """Worker-thread body of a bulk prediction."""
         prepared = self._registry.get(request.model)
         predictions = prepared.predict(request.observations,
-                                       known_pairs=set(request.known_pairs))
+                                       known_pairs=request.known_pairs)
         batches = group_pairs((p.pair() for p in predictions), request.prefix_len)
         return BulkReply(model=request.model,
                          predictions=tuple(predictions),
@@ -551,7 +551,8 @@ class GPSService:
 
         try:
             observations = request.observations or tuple(prepared.seed_observations)
-            known = prepared.seed_pairs() | set(request.known_pairs)
+            known = prepared.seed_pairs()
+            known.update(request.known_pairs)
             predictions = prepared.predict(observations, known_pairs=known)
             with prepared.scan_lock:
                 ledger = prepared.pipeline.ledger
@@ -720,7 +721,7 @@ class GPSService:
             try:
                 prepared = self._registry.get(request.model)
                 predictions = prepared.predict(
-                    request.observations, known_pairs=set(request.known_pairs))
+                    request.observations, known_pairs=request.known_pairs)
                 out.append(LookupReply(model=request.model,
                                        predictions=tuple(predictions),
                                        coalesced=coalesced))

@@ -388,13 +388,15 @@ class TestNetFeatureCacheThreadSafety:
 
 # -- predict's run memo vs a per-observation reference loop -----------------------------
 
-_PORTS = (22, 80, 443, 8080)
+#: The packed pair key's edges (port 0 and 65535, ip 0 and 2**32 - 1) ride
+#: along with the common ports and addresses.
+_PORTS = (0, 22, 80, 443, 8080, 65535)
 _APP_ITEMS = (("protocol", "http"), ("protocol", "ssh"),
               ("http_server", "nginx"), ("http_server", "lighttpd"),
               ("ssh_banner", "OpenSSH_8.2"))
 #: Two /16s, a handful of hosts each: co-located hosts share network values.
 _IPS = tuple(base + offset for base in (0x0A000000, 0x0A010000)
-             for offset in (1, 2, 3))
+             for offset in (1, 2, 3)) + (0, 2 ** 32 - 1)
 _ASN_DB = AsnDatabase([AsnRecord(base=0x0A000000, prefix_len=16, asn=64512),
                        AsnRecord(base=0x0A010000, prefix_len=16, asn=64513)])
 
@@ -434,8 +436,8 @@ _observations = st.lists(
 _index_entries = st.lists(
     st.builds(predictions_module.PredictiveFeature,
               st.sampled_from(_PREDICTORS), st.sampled_from(_PORTS),
-              st.sampled_from((0.5, 1.0))),
-    max_size=40)
+              st.sampled_from((0.25, 0.5, 0.75, 1.0))),
+    max_size=80)
 _known = st.sets(st.tuples(st.sampled_from(_IPS), st.sampled_from(_PORTS)),
                  max_size=8)
 
@@ -586,3 +588,93 @@ class TestPredictRunMemo:
         predicted = index.predict(observations, None, FeatureConfig())
         assert [(p.ip, p.port, p.probability) for p in predicted] == [
             (0x0A000001, 8080, 0.5), (0x0A000002, 8080, 0.5)]
+
+    def test_known_pair_reached_low_then_high_never_surfaces(self):
+        """A known pair first met by a low-probability candidate and later by
+        a higher one, on two observations of one ip, stays suppressed."""
+        ip = 0x0A000001
+        index = PredictiveFeatureIndex([
+            predictions_module.PredictiveFeature(("P", 80), 8080, 0.25),
+            predictions_module.PredictiveFeature(("P", 22), 8080, 0.75),
+            predictions_module.PredictiveFeature(("P", 22), 443, 0.5),
+        ])
+        observations = [ScanObservation(ip, 80, "http", {"protocol": "http"}),
+                        ScanObservation(ip, 22, "ssh", {"protocol": "ssh"})]
+        known = {(ip, 8080)}
+        predicted = index.predict(observations, None, FeatureConfig(),
+                                  known_pairs=known)
+        assert [(p.ip, p.port, p.probability) for p in predicted] == [
+            (ip, 443, 0.5)]
+        assert predicted == _reference_predict(index, observations, None,
+                                               FeatureConfig(), known)
+
+    def test_banners_differing_outside_the_vocabulary_share_a_run(
+            self, monkeypatch):
+        """Banner items no indexed predictor carries never split a run."""
+        index = PredictiveFeatureIndex([
+            predictions_module.PredictiveFeature(
+                ("PA", 80, "protocol", "http"), 443, 0.5),
+            predictions_module.PredictiveFeature(
+                ("PAN", 80, "http_server", "nginx", "asn", 64512), 8080, 0.75),
+        ])
+        observations = [
+            ScanObservation(0x0A000001, 80, "http",
+                            {"protocol": "http", "http_server": "lighttpd",
+                             "http_html_title": "A"}),
+            ScanObservation(0x0A000002, 80, "http",
+                            {"http_html_title": "B", "protocol": "http",
+                             "http_server": "apache"}),
+        ]
+        derived = []
+        run = PredictiveFeatureIndex._run
+
+        def counting_run(self, *args):
+            derived.append(args)
+            return run(self, *args)
+
+        monkeypatch.setattr(PredictiveFeatureIndex, "_run", counting_run)
+        predicted = index.predict(observations, _ASN_DB, FeatureConfig())
+        assert len(derived) == 1
+        assert [(p.ip, p.port, p.probability) for p in predicted] == [
+            (0x0A000001, 443, 0.5), (0x0A000002, 443, 0.5)]
+        assert predicted == _reference_predict(index, observations, _ASN_DB,
+                                               FeatureConfig(), None)
+
+
+class TestPredictPairKeys:
+    """``predict`` packs (ip, target port) into one int and only reads
+    ``known_pairs``."""
+
+    @pytest.mark.parametrize("port", [-1, 65536])
+    def test_target_port_outside_16_bits_is_rejected(self, port):
+        with pytest.raises(ValueError, match="outside 0-65535"):
+            PredictiveFeatureIndex([
+                predictions_module.PredictiveFeature(("P", 80), port, 0.5)])
+
+    def test_edge_target_ports_are_accepted(self):
+        index = PredictiveFeatureIndex([
+            predictions_module.PredictiveFeature(("P", 80), 0, 0.5),
+            predictions_module.PredictiveFeature(("P", 80), 65535, 0.5),
+        ])
+        observations = [ScanObservation(ip, 80, "http", {"protocol": "http"})
+                        for ip in (2 ** 32 - 1, 0)]
+        assert [p.pair() for p in index.predict(
+            observations, None, FeatureConfig())] == [
+            (0, 0), (0, 65535), (2 ** 32 - 1, 0), (2 ** 32 - 1, 65535)]
+
+    def test_frozenset_known_pairs_match_set_and_are_not_mutated(self):
+        index = PredictiveFeatureIndex([
+            predictions_module.PredictiveFeature(("P", 80), 443, 0.5),
+            predictions_module.PredictiveFeature(("P", 80), 8080, 0.75),
+        ])
+        observations = [ScanObservation(ip, 80, "http", {"protocol": "http"})
+                        for ip in _IPS]
+        known = {(_IPS[0], 443), (_IPS[1], 8080), (_IPS[2], 22)}
+        snapshot = set(known)
+        as_set = index.predict(observations, None, FeatureConfig(),
+                               known_pairs=known)
+        as_frozenset = index.predict(observations, None, FeatureConfig(),
+                                     known_pairs=frozenset(known))
+        assert as_set == as_frozenset
+        assert known == snapshot
+        assert not {p.pair() for p in as_set} & known
