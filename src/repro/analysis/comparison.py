@@ -29,7 +29,7 @@ from repro.core.gps import GPSRunResult
 from repro.core.metrics import CoveragePoint, coverage_curve
 from repro.datasets.builders import GroundTruthDataset
 from repro.internet.universe import Universe
-from repro.net.ipv4 import ip_in_prefix, subnet_key_parts
+from repro.net.ipv4 import prefix_of, subnet_key_parts
 
 Pair = Tuple[int, int]
 
@@ -86,41 +86,51 @@ def _gps_per_port_accounting(run: GPSRunResult, universe: Universe,
     that discovered at least one service whose features generated a prediction
     for that port (identified through each prediction's source pair: the
     predicting host and the port embedded in its predictor tuple).
+
+    Every input is bucketed by port once: predictions by target port,
+    found pairs by port, and each priors pair is matched only against the
+    plan entries of its own port, by prefix key per prefix length present.
     """
     wanted = set(ports)
 
-    # Source pairs (predicting service) per target port.
+    # Source pairs (predicting service) and probes per target port.
     sources_per_port: Dict[int, Set[Pair]] = {}
+    port_probes: Dict[int, int] = {}
     for prediction in run.predictions:
         if prediction.port in wanted:
             source = (prediction.ip, prediction.predictor[1])
             sources_per_port.setdefault(prediction.port, set()).add(source)
+            port_probes[prediction.port] = port_probes.get(prediction.port, 0) + 1
 
-    # Which priors entry discovered which observation.
+    # Plan entries per port, keyed by (prefix length, prefix base).
     entry_cost: List[int] = []
-    entry_pairs: List[Set[Pair]] = []
-    for entry in run.priors_plan:
-        base, prefix_len = subnet_key_parts(entry.subnet)
-        entry_cost.append(universe.announced_overlap(base, prefix_len))
-        entry_pairs.append(set())
-    priors_pairs = {obs.pair() for obs in run.priors_observations}
+    entries_by_port: Dict[int, Dict[int, Dict[int, List[int]]]] = {}
     for index, entry in enumerate(run.priors_plan):
         base, prefix_len = subnet_key_parts(entry.subnet)
-        for ip, port in priors_pairs:
-            if port == entry.port and ip_in_prefix(ip, base, prefix_len):
-                entry_pairs[index].add((ip, port))
+        entry_cost.append(universe.announced_overlap(base, prefix_len))
+        (entries_by_port.setdefault(entry.port, {})
+         .setdefault(prefix_len, {})
+         .setdefault(prefix_of(base, prefix_len), []).append(index))
 
-    found_pairs = run.discovered_pairs() & ground_truth
+    # Which priors entries discovered each priors pair.
+    entries_of_pair: Dict[Pair, List[int]] = {}
+    for ip, port in {(obs.ip, obs.port) for obs in run.priors_observations}:
+        for prefix_len, by_base in entries_by_port.get(port, {}).items():
+            indices = by_base.get(prefix_of(ip, prefix_len))
+            if indices:
+                entries_of_pair.setdefault((ip, port), []).extend(indices)
+
+    found_per_port: Dict[int, int] = {}
+    for _, port in run.discovered_pairs() & ground_truth:
+        found_per_port[port] = found_per_port.get(port, 0) + 1
+
     accounting: Dict[int, Tuple[int, int, int]] = {}
     for port in ports:
-        sources = sources_per_port.get(port, set())
-        prior_probes = sum(
-            cost for cost, pairs in zip(entry_cost, entry_pairs)
-            if pairs & sources
-        )
-        port_probes = sum(1 for prediction in run.predictions if prediction.port == port)
-        found = sum(1 for ip, p in found_pairs if p == port)
-        accounting[port] = (prior_probes, port_probes, found)
+        entries = {index for source in sources_per_port.get(port, ())
+                   for index in entries_of_pair.get(source, ())}
+        accounting[port] = (sum(entry_cost[index] for index in entries),
+                            port_probes.get(port, 0),
+                            found_per_port.get(port, 0))
     return accounting
 
 

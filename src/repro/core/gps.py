@@ -43,7 +43,7 @@ from repro.core.runtime_plans import ResidentHostGroups
 from repro.engine.runtime import EngineRuntime
 from repro.scanner.bandwidth import ScanCategory
 from repro.scanner.pipeline import ScanPipeline, SeedScanResult
-from repro.scanner.records import ObservationBatch, ScanObservation
+from repro.scanner.records import ObservationBatch, ScanObservation, group_pairs
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 Pair = Tuple[int, int]
@@ -102,8 +102,14 @@ class GPSRunResult:
     Attributes:
         config: the configuration the run used.
         seed_observations: the (filtered) seed set GPS learned from.
-        priors_observations: services discovered by the priors scan.
-        prediction_observations: services discovered by the prediction scan.
+        priors_observations: services the priors scan observed, in scan
+            order.  A full run stores one
+            :class:`~repro.scanner.records.ObservationBatch` holding every
+            priors sweep's rows (built only when read);
+            :meth:`GPS.predict_for_known_hosts` stores the caller's known
+            observations.
+        prediction_observations: services the prediction scan observed, in
+            scan order, as one ``ObservationBatch`` over every probed slice.
         priors_plan: the ordered priors scan list.
         predictions: the ordered predictions list (before probing).
         model: the co-occurrence model built from the seed.
@@ -117,8 +123,8 @@ class GPSRunResult:
 
     config: GPSConfig
     seed_observations: List[ScanObservation]
-    priors_observations: List[ScanObservation] = field(default_factory=list)
-    prediction_observations: List[ScanObservation] = field(default_factory=list)
+    priors_observations: Sequence[ScanObservation] = field(default_factory=list)
+    prediction_observations: Sequence[ScanObservation] = field(default_factory=list)
     priors_plan: List[PriorsEntry] = field(default_factory=list)
     predictions: List[PredictedService] = field(default_factory=list)
     model: Optional[CooccurrenceModel] = None
@@ -274,18 +280,19 @@ class GPS:
 
             with tel.span("priors.scan") as span:
                 batches = 0
+                priors = result.priors_observations = self._run_batch()
                 for entry in priors_plan:
                     if budget_probes is not None and ledger.total_probes() >= budget_probes:
                         result.truncated_by_budget = True
                         break
                     observations = self.pipeline.scan_prefix(entry.port, entry.subnet,
                                                              category=ScanCategory.PRIORS)
-                    result.priors_observations.extend(observations)
+                    priors.extend(observations)
                     self._log_batch(result, "priors", ledger.total_probes(),
-                                    [obs.pair() for obs in observations], discovered)
+                                    observations.pairs(), discovered)
                     batches += 1
                 span.set("batches", batches)
-                span.set("observations", len(result.priors_observations))
+                span.set("observations", len(priors))
 
             # Phase 4: predict and scan remaining services.
             build_start = time.perf_counter()
@@ -300,7 +307,7 @@ class GPS:
                 dataset.release()
         with tel.span("predict") as span:
             predictions = feature_index.predict(
-                result.priors_observations, self._asn_db, config.feature_config,
+                priors, self._asn_db, config.feature_config,
                 known_pairs=discovered,
             )
             span.set("predictions", len(predictions))
@@ -389,6 +396,7 @@ class GPS:
         batch_size = self.config.prediction_batch_size
         with self.telemetry.span("prediction.scan") as span:
             batches = 0
+            found = result.prediction_observations = self._run_batch()
             for start in range(0, len(predictions), batch_size):
                 if budget_probes is not None and ledger.total_probes() >= budget_probes:
                     result.truncated_by_budget = True
@@ -397,17 +405,23 @@ class GPS:
                 # Probes within the slice are grouped by (subnetwork, port) so the
                 # pipeline's batched layers amortize lookups and ledger charges;
                 # the probability ordering still governs at slice granularity.
-                observations = self.pipeline.scan_pairs(
-                    (prediction.pair() for prediction in batch),
+                observations = self.pipeline.scan_pair_batches(
+                    group_pairs((prediction.pair() for prediction in batch),
+                                PREDICTION_BATCH_PREFIX_LEN),
                     category=ScanCategory.PREDICTION,
-                    batch_prefix_len=PREDICTION_BATCH_PREFIX_LEN,
                 )
-                result.prediction_observations.extend(observations)
+                found.extend(observations)
                 self._log_batch(result, "prediction", ledger.total_probes(),
-                                [obs.pair() for obs in observations], discovered)
+                                observations.pairs(), discovered)
                 batches += 1
             span.set("batches", batches)
-            span.set("observations", len(result.prediction_observations))
+            span.set("observations", len(found))
+
+    def _run_batch(self) -> ObservationBatch:
+        """An empty batch in the id spaces of every batch the pipeline
+        returns, for one scan phase to accumulate into."""
+        return ObservationBatch(banners=self.pipeline.universe.banners,
+                                statuses=self.pipeline.status_encoder)
 
     def _extract_features(self, seed: SeedScanResult):
         """Extract the seed's host features on the configured path.

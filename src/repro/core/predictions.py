@@ -21,6 +21,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.config import FeatureConfig
@@ -34,7 +35,12 @@ from repro.core.features import (
 from repro.core.model import CooccurrenceModel
 from repro.core.runtime_plans import ResidentHostGroups
 from repro.net.asn import AsnDatabase
-from repro.scanner.records import ProbeBatch, ScanObservation, group_pairs
+from repro.scanner.records import (
+    ObservationBatch,
+    ProbeBatch,
+    ScanObservation,
+    group_pairs,
+)
 
 #: Prefix length prediction probes are grouped by before they reach the scan
 #: pipeline's batched layers.  /16 matches the default network feature (the
@@ -225,7 +231,12 @@ class PredictiveFeatureIndex:
         Args:
             observations: services discovered so far (typically the priors
                 scan results; the seed services' patterns are already encoded
-                in the index itself).
+                in the index itself).  An
+                :class:`~repro.scanner.records.ObservationBatch` is read
+                through its ``(ip, port, banner mapping)`` columns without
+                building row objects; any other iterable of
+                :class:`ScanObservation` feeds the same loop through those
+                three attributes.
             asn_db: ASN database for network feature extraction.
             feature_config: which predictor tuples to derive per observation.
             known_pairs: (ip, port) pairs already discovered; predictions for
@@ -300,8 +311,10 @@ class PredictiveFeatureIndex:
         runs: Dict[Tuple, List[Tuple[int, float, Tuple[float, PredictorTuple]]]] = {}
         best: Dict[int, Tuple[float, Optional[PredictorTuple]]] = {}
         best_get = best.get
-        for observation in observations:
-            ip = observation.ip
+        rows = (observations.feature_rows()
+                if isinstance(observations, ObservationBatch)
+                else map(attrgetter("ip", "port", "app_features"), observations))
+        for ip, port, app_features in rows:
             net_values = net_keys.get(ip)
             if net_values is None:
                 with net_cache_lock:
@@ -315,7 +328,6 @@ class PredictiveFeatureIndex:
                             net_cache.popitem(last=False)
                         net_cache[ip] = net_values
                 net_keys[ip] = net_values
-            port = observation.port
             reads = port_reads.get(port)
             if reads is None:
                 vocab = app_vocab.get(port, {}) if reads_app else {}
@@ -324,7 +336,7 @@ class PredictiveFeatureIndex:
                     net_vocab.get(port, frozenset()))
             app_read, indexed_net = reads
             if app_read:
-                get = observation.app_features.get
+                get = app_features.get
                 app_items = tuple([(key, value) for key, values in app_read
                                    if (value := get(key)) and value in values])
             else:

@@ -142,7 +142,7 @@ class PseudoServiceFilter:
         return self._content_keys
 
     def _partition_batch(self, batch: ObservationBatch,
-                         ) -> Tuple[List[int], List[int], List[int], Set[int]]:
+                         ) -> Tuple[Optional[List[int]], List[int], List[int], Set[int]]:
         """Split a batch's row indices by filter outcome.
 
         Returns ``(kept, removed_duplicate, removed_dense, flagged_hosts)``
@@ -153,12 +153,17 @@ class PseudoServiceFilter:
         per-host list-of-lists is ever built.  ``kept`` therefore comes back
         in host first-seen order with ports ascending within each host,
         exactly the order :meth:`apply` emits.
+
+        ``kept`` is ``None`` when the batch holds one row per host: neither
+        rule can fire, and host first-seen order *is* row order, so every
+        row is kept in place.  Only then may a caller keep the input batch
+        as the filtered result; a batch where every row survives but some
+        host has several rows still comes back reordered.
         """
         ips, ports = batch.ips, batch.ports
         if len(set(ips)) == len(ips):
-            # One row per host (every single-port sweep): neither rule can
-            # fire, and host first-seen order is row order.
-            return list(range(len(ips))), [], [], set()
+            # One row per host (every single-port sweep).
+            return None, [], [], set()
         banner_ids = batch.banner_ids
         rank: Dict[int, int] = {}
         for ip in ips:
@@ -235,17 +240,21 @@ class PseudoServiceFilter:
                 kept.extend(indices)
         return kept, removed_duplicate, removed_dense, flagged
 
-    def filter_batch(self, batch: ObservationBatch) -> List[ScanObservation]:
+    def filter_batch(self, batch: ObservationBatch) -> ObservationBatch:
         """Columnar :meth:`filter`: apply both rules to an observation batch.
 
-        Produces exactly ``self.filter(batch.materialize())`` -- same
-        surviving observations in the same order -- but the filtering runs on
-        the batch's flat columns (one sort-based grouping pass, see
-        :meth:`_partition_batch`), the stripped-content key is computed once
-        per *distinct* interned banner id (then memoized across batches)
-        instead of once per observation, and only the surviving rows are ever
-        materialized into :class:`~repro.scanner.records.ScanObservation`
-        objects.
+        Returns a batch whose rows are exactly
+        ``self.filter(list(batch))`` -- same surviving observations in the
+        same order -- but the filtering runs on the batch's flat columns
+        (one sort-based grouping pass, see :meth:`_partition_batch`), the
+        stripped-content key is computed once per *distinct* interned banner
+        id (then memoized across batches) instead of once per observation,
+        and no :class:`~repro.scanner.records.ScanObservation` is built.
+
+        A batch with one row per host (every single-port sweep) comes back
+        as the input itself; any other batch comes back as
+        ``batch.select(kept)``, in host first-seen, port-ascending order,
+        sharing the input's tables.
 
         Duplicate (ip, port) rows cannot disagree: the simulated universe is
         deterministic per target, so equal pairs always carry equal banner
@@ -253,15 +262,16 @@ class PseudoServiceFilter:
         therefore identical to :meth:`apply`'s pair-wise removal.
         """
         kept, _, _, _ = self._partition_batch(batch)
-        return batch.materialize(kept)
+        return batch if kept is None else batch.select(kept)
 
     def apply_batch(self, batch: ObservationBatch,
                     ) -> Tuple[ObservationBatch, FilterReport]:
         """Columnar :meth:`apply`: filter a batch, keeping the columnar form.
 
-        Returns ``(kept_batch, report)``: the surviving rows as a new
-        :class:`~repro.scanner.records.ObservationBatch` sharing the input's
-        banner interner and status encoder, plus a :class:`FilterReport`
+        Returns ``(kept_batch, report)``: the surviving rows as a batch
+        sharing the input's banner interner and status encoder (the input
+        itself when it holds one row per host, as in :meth:`filter_batch`),
+        plus a :class:`FilterReport`
         whose removed lists and ``flagged_hosts`` contain exactly the rows
         :meth:`apply` over the materialized input would remove (removed rows
         come back in host/port order rather than content-group order).
@@ -278,7 +288,7 @@ class PseudoServiceFilter:
             removed_dense_host=[row(i) for i in removed_dense],
             flagged_hosts=flagged,
         )
-        return batch.select(kept), report
+        return (batch if kept is None else batch.select(kept)), report
 
 
 def filter_quality(report: FilterReport,

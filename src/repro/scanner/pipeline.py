@@ -19,6 +19,12 @@ scan shapes the paper's system needs:
 
 Every probe sent is charged to a :class:`~repro.scanner.bandwidth.BandwidthLedger`
 so that each experiment can report cost in the paper's unit of "100 % scans".
+
+The columnar scan shapes (:meth:`ScanPipeline.scan_prefix`,
+:meth:`ScanPipeline.scan_pair_batches`) return their result as an
+:class:`~repro.scanner.records.ObservationBatch`, a ``Sequence`` of
+:class:`~repro.scanner.records.ScanObservation` rows that are built only when
+a caller reads them.
 """
 
 from __future__ import annotations
@@ -192,7 +198,7 @@ class ScanPipeline:
 
     def scan_prefix(self, port: int, subnet: int | Tuple[int, int],
                     category: ScanCategory = ScanCategory.PRIORS,
-                    apply_filter: bool = True) -> List[ScanObservation]:
+                    apply_filter: bool = True) -> ObservationBatch:
         """Exhaustively scan one port across one subnetwork.
 
         ``subnet`` is either a packed subnet key (see
@@ -201,7 +207,11 @@ class ScanPipeline:
         The sweep runs through the columnar layers, like
         :meth:`scan_pair_batches`: the responders fold into flat columns
         (one ledger charge per layer, no per-hit result objects or banner
-        copies) and rows materialize only here, at the API boundary.
+        copies) and the result stays columnar.  The returned batch is the
+        filtered one (see
+        :meth:`~repro.scanner.filtering.PseudoServiceFilter.filter_batch`),
+        or the raw sweep with ``apply_filter=False``; its rows are
+        :class:`ScanObservation` objects built only when read.
         """
         sweep_t0 = time.perf_counter() if self.telemetry.enabled else None
         if isinstance(subnet, tuple):
@@ -214,17 +224,16 @@ class ScanPipeline:
             statuses=self._status_encoder)
         batch = self.zgrab.grab_batch_columns(fingerprints, category=category)
         if apply_filter:
-            observations = self.pseudo_filter.filter_batch(batch)
-        else:
-            observations = batch.materialize()
+            batch = self.pseudo_filter.filter_batch(batch)
         if sweep_t0 is not None:
             self._observe_sweep("prefix", time.perf_counter() - sweep_t0)
-        return observations
+        return batch
 
     def scan_pairs(self, pairs: Iterable[Tuple[int, int]],
                    category: ScanCategory = ScanCategory.PREDICTION,
                    apply_filter: bool = True,
-                   batch_prefix_len: Optional[int] = None) -> List[ScanObservation]:
+                   batch_prefix_len: Optional[int] = None,
+                   ) -> Sequence[ScanObservation]:
         """Probe specific (ip, port) targets and banner-grab the responders.
 
         Args:
@@ -238,7 +247,9 @@ class ScanPipeline:
                 same services are observed and the ledger totals are
                 identical; only the per-pair bookkeeping is amortized, and
                 results come back in batch order rather than strict pair
-                order.
+                order, as the :class:`ObservationBatch`
+                :meth:`scan_pair_batches` returns.  Unbatched, the result
+                is a list.
         """
         if batch_prefix_len is not None:
             # Delegates to scan_pair_batches, which times itself -- no
@@ -258,7 +269,7 @@ class ScanPipeline:
 
     def scan_pair_batches(self, batches: Sequence[ProbeBatch],
                           category: ScanCategory = ScanCategory.PREDICTION,
-                          apply_filter: bool = True) -> List[ScanObservation]:
+                          apply_filter: bool = True) -> ObservationBatch:
         """Probe pre-grouped per-(prefix, port) batches (Section 5.4, batched).
 
         Equivalent to :meth:`scan_pairs` over the flattened batches -- same
@@ -266,22 +277,21 @@ class ScanPipeline:
         whole pass is *columnar*: ZMap resolves responders into flat
         (ip, port) columns with ranged universe queries, LZR and ZGrab fold
         outcomes into parallel int columns (protocol-status ids, interned
-        banner ids) instead of allocating per-hit objects, and
-        :class:`~repro.scanner.records.ScanObservation` rows materialize only
-        here, at the API boundary.  :meth:`scan_pair_batches_columnar`
-        exposes the batch itself for consumers that can stay columnar.
+        banner ids) instead of allocating per-hit objects, and the result is
+        the filtered :class:`~repro.scanner.records.ObservationBatch` (the
+        raw one with ``apply_filter=False``), whose rows are built only when
+        read.  :meth:`scan_pair_batches_columnar` is the unfiltered pass
+        without the sweep timing.
         """
         sweep_t0 = time.perf_counter() if self.telemetry.enabled else None
         batch = self.scan_pair_batches_columnar(batches, category=category)
         if apply_filter:
             # The columnar filter memoizes content keys per interned banner
-            # id and materializes only the surviving rows.
-            observations = self.pseudo_filter.filter_batch(batch)
-        else:
-            observations = batch.materialize()
+            # id and never builds a row object.
+            batch = self.pseudo_filter.filter_batch(batch)
         if sweep_t0 is not None:
             self._observe_sweep("pair_batches", time.perf_counter() - sweep_t0)
-        return observations
+        return batch
 
     def scan_pair_batches_columnar(self, batches: Sequence[ProbeBatch],
                                    category: ScanCategory = ScanCategory.PREDICTION,

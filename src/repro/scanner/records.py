@@ -16,14 +16,19 @@ per-row :class:`ScanObservation` views.  The columns are
 fold kernels, shard shipping) read them through the buffer protocol instead
 of boxing Python ints.  Keeping per-hit work O(1) appends is what lets the
 scan loop track the batched ZMap layer's throughput (the paper's Section 5.4
-/ Table 2 story); observations only materialize at the pipeline's API
-boundary.
+/ Table 2 story).
+
+A batch is itself a read-only ``Sequence[ScanObservation]``: the scan
+pipeline returns batches, GPS accumulates each scan phase into one batch and
+prediction reads its columns directly, so an observation object is built
+only when a caller indexes or iterates a batch.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union, overload
 
 from repro.engine.columns import IntColumn
 from repro.engine.encoding import DictionaryEncoder
@@ -60,15 +65,21 @@ class ScanObservation:
 
 
 @dataclass
-class ObservationBatch:
+class ObservationBatch(Sequence[ScanObservation]):
     """A batch of service observations stored as flat parallel columns.
 
     The batched scanner layers fold hits straight into these columns -- one
     ``list.append`` per column per hit -- instead of allocating a
-    :class:`ScanObservation` (and copying its banner dict) per hit.  Rows are
-    materialized lazily: :meth:`row` builds one observation on demand and
-    :meth:`materialize` builds them all, which the scan pipeline does exactly
-    once at its API boundary.
+    :class:`ScanObservation` (and copying its banner dict) per hit.
+
+    The batch is a ``Sequence[ScanObservation]`` whose rows are built only
+    when read: iteration is :meth:`iter_rows`, an int index is :meth:`row`
+    (negative indices count from the end, as the columns do) and a slice is
+    :meth:`select`.  It is read-only as a sequence -- rows are appended as
+    columns (:meth:`append`, :meth:`extend`), never assigned.  Consumers
+    that only need identities or banners read the columns instead
+    (:meth:`pairs`, :meth:`feature_rows`).  A batch is never equal to a
+    list; compare ``list(batch)``.
 
     Attributes:
         banners: the interner non-negative banner ids refer to (normally the
@@ -101,6 +112,21 @@ class ObservationBatch:
 
     def __len__(self) -> int:
         return len(self.ips)
+
+    def __iter__(self) -> Iterator[ScanObservation]:
+        return self.iter_rows()
+
+    @overload
+    def __getitem__(self, index: int) -> ScanObservation: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> "ObservationBatch": ...
+
+    def __getitem__(self, index: Union[int, slice],
+                    ) -> Union[ScanObservation, "ObservationBatch"]:
+        if isinstance(index, slice):
+            return self.select(range(*index.indices(len(self))))
+        return self.row(index)
 
     def append(self, ip: int, port: int, status_id: int, banner_id: int,
                ttl: int) -> None:
@@ -136,6 +162,55 @@ class ObservationBatch:
         """The (ip, port) identities of the batch's rows, in row order."""
         return list(zip(self.ips, self.ports))
 
+    def feature_rows(self) -> Iterator[Tuple[int, int, Mapping[str, str]]]:
+        """``(ip, port, banner mapping)`` per row, in row order.
+
+        What prediction reads of an observation, straight from the columns:
+        no :class:`ScanObservation` and no protocol decode per row.
+        """
+        interned_features = self.banners.features
+        local_banners = self.local_banners
+        return zip(self.ips, self.ports,
+                   [interned_features(banner_id) if banner_id >= 0
+                    else local_banners[-banner_id - 1]
+                    for banner_id in self.banner_ids])
+
+    def extend(self, other: "ObservationBatch") -> None:
+        """Append ``other``'s rows, in order, to this batch.
+
+        Both batches must share the banner interner and the status encoder
+        (every batch one :class:`~repro.scanner.pipeline.ScanPipeline`
+        produces does), so interned banner and status ids copy verbatim.
+        ``other``'s batch-local banners that its rows reference are appended
+        to a *copy* of this batch's local table and their (negative) ids are
+        remapped: a batch made by :meth:`select` shares its source's table,
+        and extending it must never grow that source.
+        """
+        if other.banners is not self.banners:
+            raise ValueError("extend needs batches sharing one banner interner")
+        if other.statuses is not self.statuses:
+            raise ValueError("extend needs batches sharing one status encoder")
+        banner_ids = other.banner_ids
+        if other.local_banners and any(banner_id < 0 for banner_id in banner_ids):
+            local = list(self.local_banners)
+            remap: Dict[int, int] = {}
+            remapped = []
+            for banner_id in banner_ids:
+                if banner_id < 0:
+                    new_id = remap.get(banner_id)
+                    if new_id is None:
+                        local.append(other.local_banners[-banner_id - 1])
+                        new_id = remap[banner_id] = -len(local)
+                    banner_id = new_id
+                remapped.append(banner_id)
+            self.local_banners = local
+            banner_ids = remapped
+        self.ips.extend(other.ips)
+        self.ports.extend(other.ports)
+        self.status.extend(other.status)
+        self.banner_ids.extend(banner_ids)
+        self.ttls.extend(other.ttls)
+
     def select(self, indices: Iterable[int]) -> "ObservationBatch":
         """A new batch holding the given rows, in the given order.
 
@@ -144,8 +219,9 @@ class ObservationBatch:
         status ids stay valid verbatim, no status re-encoding happens), so
         selecting rows never touches a banner mapping.  This is what the
         columnar dataset layer uses for port restrictions and seed/test
-        splits.  An empty selection returns immediately with the shared
-        tables and empty columns.
+        splits, and what the pseudo-service filter returns as its kept rows.
+        An empty selection returns immediately with the shared tables and
+        empty columns.
         """
         out = ObservationBatch(banners=self.banners, statuses=self.statuses,
                                local_banners=self.local_banners)
@@ -202,21 +278,11 @@ class ObservationBatch:
             ttl=self.ttls[i],
         )
 
-    def iter_rows(self, indices: Optional[Iterable[int]] = None,
-                  ) -> Iterator[ScanObservation]:
-        """Iterate lazily materialized rows in order.
-
-        With ``indices``, only those rows, in that order (what the columnar
-        pseudo-service filter keeps).
-        """
-        if indices is None:
-            rows = zip(self.ips, self.ports, self.status, self.banner_ids,
-                       self.ttls)
-        else:
-            ips, ports, status = self.ips, self.ports, self.status
-            banner_ids, ttls = self.banner_ids, self.ttls
-            rows = ((ips[i], ports[i], status[i], banner_ids[i], ttls[i])
-                    for i in indices)
+    def iter_rows(self) -> Iterator[ScanObservation]:
+        """Iterate lazily materialized rows in order (the batch's
+        ``__iter__``)."""
+        rows = zip(self.ips, self.ports, self.status, self.banner_ids,
+                   self.ttls)
         decode_status = self.statuses.decode
         interned_features = self.banners.features
         local_banners = self.local_banners
@@ -228,11 +294,10 @@ class ObservationBatch:
                                   app_features=features,
                                   ttl=ttl)
 
-    def materialize(self, indices: Optional[Iterable[int]] = None,
-                    ) -> List[ScanObservation]:
-        """Materialize every row -- or just ``indices``, in that order (the
-        pipeline's API-boundary step)."""
-        return list(self.iter_rows(indices))
+    def materialize(self) -> List[ScanObservation]:
+        """Every row as a list of :class:`ScanObservation` objects
+        (``list(batch)``)."""
+        return list(self.iter_rows())
 
 
 @dataclass(frozen=True)
@@ -262,6 +327,21 @@ class ProbeBatch:
 
     def __len__(self) -> int:
         return len(self.ips)
+
+    def __iter__(self) -> Iterator[ScanObservation]:
+        return self.iter_rows()
+
+    @overload
+    def __getitem__(self, index: int) -> ScanObservation: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> "ObservationBatch": ...
+
+    def __getitem__(self, index: Union[int, slice],
+                    ) -> Union[ScanObservation, "ObservationBatch"]:
+        if isinstance(index, slice):
+            return self.select(range(*index.indices(len(self))))
+        return self.row(index)
 
 
 def group_pairs(pairs: Iterable[Tuple[int, int]],

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.analysis import (
@@ -24,10 +26,40 @@ from repro.analysis import (
     run_step_size_sweep,
     run_xgboost_comparison,
 )
+from repro.analysis.comparison import _gps_per_port_accounting
 from repro.analysis.coverage import coverage_summary_rows
 from repro.analysis.reporting import format_ratio
 from repro.analysis.scenarios import ExperimentScale, run_gps_on_dataset
+from repro.net.ipv4 import ip_in_prefix, subnet_key_parts
 from tests.conftest import TEST_SCALE
+
+
+def _plain_per_port_accounting(run, universe, ports, ground_truth):
+    """The per-port accounting as a plain nested loop: every priors pair
+    against every plan entry, every prediction and found pair per port."""
+    sources_per_port = {}
+    for prediction in run.predictions:
+        if prediction.port in set(ports):
+            sources_per_port.setdefault(prediction.port, set()).add(
+                (prediction.ip, prediction.predictor[1]))
+    priors_pairs = {obs.pair() for obs in run.priors_observations}
+    entry_cost, entry_pairs = [], []
+    for entry in run.priors_plan:
+        base, prefix_len = subnet_key_parts(entry.subnet)
+        entry_cost.append(universe.announced_overlap(base, prefix_len))
+        entry_pairs.append({(ip, port) for ip, port in priors_pairs
+                            if port == entry.port
+                            and ip_in_prefix(ip, base, prefix_len)})
+    found_pairs = run.discovered_pairs() & ground_truth
+    accounting = {}
+    for port in ports:
+        sources = sources_per_port.get(port, set())
+        accounting[port] = (
+            sum(cost for cost, pairs in zip(entry_cost, entry_pairs)
+                if pairs & sources),
+            sum(1 for prediction in run.predictions if prediction.port == port),
+            sum(1 for _, p in found_pairs if p == port))
+    return accounting
 
 
 class TestScenarios:
@@ -124,6 +156,32 @@ class TestComparison:
         assert comparison.ports_where_gps_cheaper() >= 0
         average = comparison.average_prior_savings()
         assert average is None or average > 0
+
+    def test_per_port_accounting_matches_plain_loop(self, comparison, universe,
+                                                    censys_dataset):
+        run = comparison.gps_run
+        # Every predicted port, plus one nothing predicts.
+        ports = sorted({p.port for p in run.predictions}) + [1]
+        truth = censys_dataset.pairs()
+        got = _gps_per_port_accounting(run, universe, ports, truth)
+        assert got == _plain_per_port_accounting(run, universe, ports, truth)
+        assert any(prior for prior, _, _ in got.values())
+        assert got[1] == (0, 0, 0)
+
+    def test_per_port_accounting_counts_a_shared_entry_once(self, comparison,
+                                                            universe,
+                                                            censys_dataset):
+        # The plan scanned twice over: each entry is paid per copy, and an
+        # entry holding several source pairs is still paid once per copy.
+        run = comparison.gps_run
+        doubled = dataclasses.replace(run, priors_plan=run.priors_plan * 2)
+        ports = sorted({p.port for p in run.predictions})
+        truth = censys_dataset.pairs()
+        once = _gps_per_port_accounting(run, universe, ports, truth)
+        twice = _gps_per_port_accounting(doubled, universe, ports, truth)
+        assert twice == _plain_per_port_accounting(doubled, universe, ports,
+                                                   truth)
+        assert all(twice[port][0] == 2 * once[port][0] for port in ports)
 
 
 class TestFeatureAnalysis:

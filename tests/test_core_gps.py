@@ -9,6 +9,7 @@ from repro.core.metrics import fraction_of_services
 from repro.datasets.split import seed_scan_cost_probes
 from repro.scanner.bandwidth import ScanCategory
 from repro.scanner.pipeline import ScanPipeline
+from repro.scanner.records import ObservationBatch
 
 
 class TestDatasetSplitMode:
@@ -66,6 +67,26 @@ class TestDatasetSplitMode:
         total = (len(result.seed_observations) + len(result.priors_observations)
                  + len(result.prediction_observations))
         assert len(result.all_observations()) == total
+
+    def test_scan_phases_keep_one_batch_each_in_log_order(self, gps_run):
+        # Each scan phase accumulates its sweeps into one batch; its rows,
+        # in order and minus already-known pairs, are that phase's log.
+        result, _ = gps_run
+        known = {obs.pair() for obs in result.seed_observations}
+        for phase, observations in (("priors", result.priors_observations),
+                                    ("prediction",
+                                     result.prediction_observations)):
+            assert isinstance(observations, ObservationBatch)
+            assert len(observations) > 0
+            logged = [pair for batch in result.discovery_log
+                      if batch.phase == phase for pair in batch.pairs]
+            fresh = []
+            for pair in observations.pairs():
+                if pair not in known:
+                    known.add(pair)
+                    fresh.append(pair)
+            assert logged == fresh
+            assert [obs.pair() for obs in observations] == observations.pairs()
 
     def test_log_as_tuples_matches_batches(self, gps_run):
         result, _ = gps_run

@@ -32,6 +32,7 @@ from repro.core.predictions import (
     build_prediction_index_with_engine,
 )
 from repro.datasets.split import split_seed_test
+from repro.internet.banners import BannerInterner
 from repro.net.asn import AsnDatabase, AsnRecord
 from repro.scanner.records import ObservationBatch, ScanObservation
 
@@ -526,6 +527,35 @@ class TestPredictRunMemo:
         config = FeatureConfig()
         assert index.predict(rows, _ASN_DB, config) == \
             index.predict(observations, _ASN_DB, config)
+
+    @settings(max_examples=100, deadline=None)
+    @given(entries=_index_entries, observations=_observations, known=_known,
+           local=st.lists(st.booleans(), min_size=24, max_size=24),
+           cut=st.integers(0, 24))
+    def test_batch_columns_predict_like_their_rows(self, entries, observations,
+                                                   known, local, cut):
+        # The scan phase's shape: two sweeps' batches, some banners
+        # batch-local, accumulated into one batch by extend.
+        index = PredictiveFeatureIndex(entries)
+        run = ObservationBatch(banners=BannerInterner())
+        sweeps = [ObservationBatch(banners=run.banners, statuses=run.statuses)
+                  for _ in range(2)]
+        for position, obs in enumerate(observations):
+            sweep = sweeps[position >= cut]
+            banner_id = (sweep.add_local_banner(dict(obs.app_features))
+                         if local[position]
+                         else sweep.banners.intern(obs.app_features))
+            sweep.append(obs.ip, obs.port, sweep.status_id(obs.protocol),
+                         banner_id, obs.ttl)
+        for sweep in sweeps:
+            run.extend(sweep)
+        config = FeatureConfig()
+        expected = _reference_predict(index, observations, _ASN_DB, config,
+                                      known)
+        assert list(run) == observations
+        assert index.predict(run, _ASN_DB, config, known_pairs=known) == expected
+        assert index.predict(list(run), _ASN_DB, config,
+                             known_pairs=known) == expected
 
     def test_equal_banners_in_other_networks_get_their_own_run(self):
         """The run memo keys on network values too: one banner on one port,

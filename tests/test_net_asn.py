@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net.asn import AsnDatabase, AsnRecord
-from repro.net.ipv4 import IPv4Error, parse_ip
+from repro.net.ipv4 import IPv4Error, parse_ip, prefix_of
 
 
 def _record(cidr_base: str, length: int, asn: int, name: str = "") -> AsnRecord:
@@ -63,6 +64,58 @@ class TestAsnDatabase:
         assert len(db) == 2
         lengths = [record.prefix_len for record in db.records()]
         assert lengths == sorted(lengths, reverse=True)
+
+
+#: Announcements inside 10.0.0.0/16 (plus the odd /0-/8 covering prefix), so
+#: prefixes of different lengths nest often; unique per (prefix, length).
+_NEAR = st.integers(0, 0xFFFF).map(lambda low: 0x0A000000 | low)
+_announcements = st.lists(
+    st.tuples(_NEAR, st.sampled_from((0, 4, 8, 12, 16, 20, 24, 28, 31, 32))),
+    max_size=25,
+    unique_by=lambda item: (prefix_of(item[0], item[1]), item[1]),
+).map(lambda items: [AsnRecord(base=base, prefix_len=length, asn=index + 1)
+                     for index, (base, length) in enumerate(items)])
+
+
+def _most_specific(records, ip):
+    """The plain longest-prefix match: the longest announcement holding ip."""
+    holding = [record for record in records if record.contains(ip)]
+    return max(holding, key=lambda record: record.prefix_len, default=None)
+
+
+class TestLongestPrefixMatchAnyOrder:
+    """Lookups do not depend on the order announcements were added in,
+    including when a shorter prefix arrives after a longer one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=_announcements, order=st.randoms(use_true_random=False),
+           queries=st.lists(st.one_of(_NEAR, st.integers(0, 2 ** 32 - 1)),
+                            min_size=1, max_size=20))
+    def test_lookup_matches_plain_longest_prefix_match(self, records, order,
+                                                       queries):
+        shuffled = list(records)
+        order.shuffle(shuffled)
+        db = AsnDatabase(records[:len(records) // 2])
+        for record in records[len(records) // 2:]:
+            db.add(record)
+        other = AsnDatabase(shuffled)
+        for ip in queries + [record.base for record in records]:
+            expected = _most_specific(records, ip)
+            assert db.lookup(ip) == expected
+            assert other.lookup(ip) == expected
+        assert ([record.prefix_len for record in other.records()]
+                == sorted((record.prefix_len for record in records),
+                          reverse=True))
+
+    def test_shorter_prefix_added_last_does_not_shadow(self):
+        db = AsnDatabase([_record("10.1.2.0", 24, 65024)])
+        db.add(_record("10.1.0.0", 16, 65016))
+        db.add(_record("10.0.0.0", 8, 65008))
+        db.add(_record("10.1.2.128", 25, 65025))
+        assert db.asn_of(parse_ip("10.1.2.200")) == 65025
+        assert db.asn_of(parse_ip("10.1.2.3")) == 65024
+        assert db.asn_of(parse_ip("10.1.9.9")) == 65016
+        assert db.asn_of(parse_ip("10.9.9.9")) == 65008
 
 
 class TestUniverseAsnDatabase:

@@ -341,7 +341,7 @@ class TestColumnarFilter:
                 pairs.extend((host.ip, lo + offset) for offset in range(12))
         pipeline = ScanPipeline(universe)
         batch = pipeline.scan_pair_batches_columnar(group_pairs(pairs, 16))
-        assert pipeline.pseudo_filter.filter_batch(batch) == \
+        assert list(pipeline.pseudo_filter.filter_batch(batch)) == \
             pipeline.pseudo_filter.filter(batch.materialize())
 
     def test_filter_batch_drops_pseudo_hosts(self, universe):
@@ -354,7 +354,7 @@ class TestColumnarFilter:
         pipeline = ScanPipeline(universe)
         batch = pipeline.scan_pair_batches_columnar(group_pairs(pairs, 16))
         assert len(batch) == 12
-        assert pipeline.pseudo_filter.filter_batch(batch) == []
+        assert list(pipeline.pseudo_filter.filter_batch(batch)) == []
 
     def test_filtered_pipeline_matches_pairwise_filtered(self, universe):
         pairs = _mixed_targets(universe)

@@ -90,8 +90,30 @@ class TestColumnarFilter:
         observations = [_obs(ip, 443, body="cdn-default") for ip in range(12, 0, -1)]
         batch = ObservationBatch.from_observations(observations)
         pseudo_filter = PseudoServiceFilter()
-        assert pseudo_filter.filter_batch(batch) == observations
+        assert list(pseudo_filter.filter_batch(batch)) == observations
         assert pseudo_filter.filter(observations) == observations
+
+    def test_one_row_per_host_returns_the_input_batch(self):
+        batch = ObservationBatch.from_observations(
+            [_obs(ip, 80, body="same") for ip in (9, 3, 7)])
+        assert PseudoServiceFilter().filter_batch(batch) is batch
+        assert PseudoServiceFilter().apply_batch(batch)[0] is batch
+
+    def test_several_rows_per_host_come_back_host_first_port_ascending(self):
+        # Every row survives, but row order is not the kept order: hosts in
+        # first-seen order, ports ascending within each host.
+        rows = [(5, 443), (3, 22), (5, 80), (3, 21), (8, 25), (5, 8080),
+                (3, 20)]
+        observations = [_obs(ip, port, body=f"b{port}") for ip, port in rows]
+        batch = ObservationBatch.from_observations(observations)
+        kept = PseudoServiceFilter().filter_batch(batch)
+        expected = [(5, 80), (5, 443), (5, 8080), (3, 20), (3, 21), (3, 22),
+                    (8, 25)]
+        assert kept is not batch
+        assert kept.pairs() == expected
+        assert [obs.pair() for obs in kept] == expected
+        assert list(kept) == PseudoServiceFilter().filter(observations)
+        assert batch.pairs() == rows
 
     def test_apply_batch_one_row_per_host_reports_nothing(self):
         observations = [_obs(ip, 80, body="same") for ip in range(1, 9)]
@@ -112,7 +134,7 @@ class TestColumnarFilter:
         pseudo_filter = PseudoServiceFilter(**thresholds)
         batch = ObservationBatch.from_observations(observations)
         expected = pseudo_filter.apply(observations)
-        assert pseudo_filter.filter_batch(batch) == expected.kept
+        assert list(pseudo_filter.filter_batch(batch)) == expected.kept
         kept, report = pseudo_filter.apply_batch(batch)
         assert kept.materialize() == expected.kept
         assert _row_key(report.removed_duplicate_content) == \

@@ -7,6 +7,7 @@ import pytest
 from repro.scanner.bandwidth import ScanCategory
 from repro.scanner.lzr import PROBES_PER_FINGERPRINT
 from repro.scanner.pipeline import ScanPipeline
+from repro.scanner.records import ObservationBatch, group_pairs
 from repro.telemetry import Telemetry
 
 
@@ -133,7 +134,7 @@ class TestColumnarPrefixSweep:
                            universe.responders_in_prefix(p, base, length)))
         responders = universe.responders_in_prefix(port, base, length)
         assert responders
-        assert pipeline.scan_prefix(port, (base, length)) == []
+        assert list(pipeline.scan_prefix(port, (base, length))) == []
         assert pipeline.ledger.total_responses() == len(responders)
         assert pipeline.ledger.total_probes() == \
             universe.announced_overlap(base, length) \
@@ -149,6 +150,26 @@ class TestColumnarPrefixSweep:
         second = pipeline.scan_prefix(port, (base, length))
         assert second == first
         assert len(pipeline.status_encoder) == len(protocols)
+
+    def test_columnar_shapes_return_batches_in_filter_order(self, universe,
+                                                             pipeline):
+        port = universe.port_registry().top_ports(1)[0]
+        base, length = universe.topology.systems[0].prefixes[0]
+        assert isinstance(pipeline.scan_prefix(port, (base, length)),
+                          ObservationBatch)
+        # One host's services probed highest port first: the filtered batch
+        # lists them port-ascending, as the object filter does.
+        host = next(h for h in universe.hosts.values()
+                    if len(h.services) >= 3 and h.pseudo_port_range is None
+                    and not h.is_middlebox)
+        pairs = [(host.ip, p) for p in sorted(host.services, reverse=True)]
+        raw = pipeline.scan_pair_batches(group_pairs(pairs, 16),
+                                         apply_filter=False)
+        kept = pipeline.scan_pair_batches(group_pairs(pairs, 16))
+        assert isinstance(raw, ObservationBatch)
+        assert raw.pairs() == pairs
+        assert kept.pairs() == sorted(pairs)
+        assert list(kept) == pipeline.pseudo_filter.filter(list(raw))
 
     def test_each_call_counts_one_prefix_sweep(self, universe):
         pipeline = ScanPipeline(universe, telemetry=Telemetry())
